@@ -16,13 +16,7 @@ from .alphabet import (
     segment,
     segmentations,
 )
-from .distance import (
-    CostModel,
-    InputTooLongError,
-    plain_edit_distance,
-    weighted_levenshtein,
-    weighted_levenshtein_reference,
-)
+from .distance import CostModel, plain_edit_distance, weighted_levenshtein
 from .evaluation import (
     ConfusionCounts,
     CorpusEntry,
@@ -35,15 +29,7 @@ from .evaluation import (
     load_corpus,
 )
 from .lexicon import MalformedLexiconError, TrieDict, load
-from .pipeline import (
-    CheckReport,
-    FlaggedBy,
-    SpellChecker,
-    WordResult,
-    WordStatus,
-    check_text,
-    check_word,
-)
+from .pipeline import CheckReport, FlaggedBy, SpellChecker, WordResult, WordStatus
 from .preprocess import Token, normalize, strip_punctuation, tokenize
 from .rules import RuleVerdict, Violation, validate
 from .suggest import EmptyLexiconError, Suggestion, SuggestionList, best, suggest

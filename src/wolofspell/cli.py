@@ -12,7 +12,6 @@ corpus file.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import click
 from click.core import ParameterSource
@@ -27,7 +26,7 @@ from .evaluation import (
     format_report_structured,
     load_corpus,
 )
-from .lexicon import MalformedLexiconError, TrieDict, load as load_lexicon
+from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
 from .preprocess import load_exclusion_list, normalize
 from .suggest import EmptyLexiconError, suggest as suggest_words
@@ -58,17 +57,6 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
-@dataclass
-class Config:
-    lexicon: TrieDict
-    model: CostModel
-    translit_rules: RuleSet | None
-    exclude: frozenset[str]
-    k: int
-    max_cost: int | None
-    format: str
-
-
 def _resolve(ctx: click.Context, name: str, file_values: dict[str, str], cast):
     """Apply the flag > env > config file > default precedence for one option."""
     source = ctx.get_parameter_source(name)
@@ -79,7 +67,8 @@ def _resolve(ctx: click.Context, name: str, file_values: dict[str, str], cast):
     return ctx.params[name]
 
 
-def _build_config(ctx: click.Context) -> Config:
+def _build_config(ctx: click.Context) -> tuple[SpellChecker, str]:
+    """The configured checker and the output format."""
     params = ctx.params
     file_values = read_config_file(params["config"]) if params.get("config") else {}
 
@@ -100,12 +89,7 @@ def _build_config(ctx: click.Context) -> Config:
     model = CostModel.from_file(costs_path) if costs_path else default_cost_model()
     rules = RuleSet.from_file(translit_path) if translit_path else None
     exclude = load_exclusion_list(exclude_path) if exclude_path else frozenset()
-    return Config(lexicon, model, rules, exclude, k, max_cost, fmt)
-
-
-def _checker(cfg: Config) -> SpellChecker:
-    return SpellChecker(cfg.lexicon, cfg.model, cfg.translit_rules,
-                        cfg.k, cfg.max_cost, cfg.exclude)
+    return SpellChecker(lexicon, model, rules, k, max_cost, exclude), fmt
 
 
 def common_options(fn):
@@ -154,15 +138,15 @@ def check(ctx, input, **_kwargs):
     The corrected text goes to stdout; one diagnostic line per flagged
     token goes to stderr (position, original, status, replacement).
     """
-    cfg = _build_config(ctx)
+    checker, fmt = _build_config(ctx)
     text = input.read()
-    report = _checker(cfg).check_text(text)
+    report = checker.check_text(text)
     # corrected_text carries the input's own line breaks, trailing one included
     click.echo(report.corrected_text, nl=False)
     for result in report.results:
         if result.status is WordStatus.CORRECT:
             continue
-        if cfg.format == "structured":
+        if fmt == "structured":
             fields = [str(result.original.position), result.original.surface,
                       result.status.value, result.corrected or ""]
             if result.suggestions is not None:
@@ -186,12 +170,12 @@ def check(ctx, input, **_kwargs):
 @click.pass_context
 def suggest(ctx, word, **_kwargs):
     """Print up to k suggestions for WORD as word<TAB>cost lines."""
-    cfg = _build_config(ctx)
+    checker, _ = _build_config(ctx)
     norm = normalize(word).strip()
-    result = _checker(cfg).check_word(norm)
+    result = checker.check_word(norm)
     if result.status is WordStatus.CORRECT:
-        candidates = suggest_words(norm, cfg.lexicon, cfg.model,
-                                   k=cfg.k, max_cost=cfg.max_cost)
+        candidates = suggest_words(norm, checker.lexicon, checker.model,
+                                   k=checker.k, max_cost=checker.max_cost)
     elif result.suggestions is not None and result.suggestions.items:
         candidates = result.suggestions
     else:
@@ -206,10 +190,10 @@ def suggest(ctx, word, **_kwargs):
 @click.pass_context
 def eval_cmd(ctx, corpus, **_kwargs):
     """Score the checker against a labeled corpus TSV file."""
-    cfg = _build_config(ctx)
+    checker, fmt = _build_config(ctx)
     entries = load_corpus(corpus)
-    report = evaluate(entries, _checker(cfg))
-    if cfg.format == "structured":
+    report = evaluate(entries, checker)
+    if fmt == "structured":
         click.echo(format_report_structured(report), nl=False)
     else:
         click.echo(format_report(report))
@@ -220,11 +204,11 @@ def eval_cmd(ctx, corpus, **_kwargs):
 @click.pass_context
 def lexicon_stats(ctx, **_kwargs):
     """Word count, trie node count and grapheme-class frequencies."""
-    cfg = _build_config(ctx)
+    lexicon = _build_config(ctx)[0].lexicon
     inventory = default_inventory()
     class_counts: dict[str, int] = {}
     unsegmentable = 0
-    for word in cfg.lexicon.iterate():
+    for word in lexicon.iterate():
         try:
             graphemes = inventory.segment(word)
         except UnsegmentableError:
@@ -232,8 +216,8 @@ def lexicon_stats(ctx, **_kwargs):
             continue
         for g in graphemes:
             class_counts[g.cls.value] = class_counts.get(g.cls.value, 0) + 1
-    click.echo(f"words\t{cfg.lexicon.word_count}")
-    click.echo(f"trie_nodes\t{cfg.lexicon.node_count()}")
+    click.echo(f"words\t{lexicon.word_count}")
+    click.echo(f"trie_nodes\t{lexicon.node_count()}")
     for name in sorted(class_counts):
         click.echo(f"graphemes.{name}\t{class_counts[name]}")
     if unsegmentable:

@@ -9,13 +9,15 @@ the accents Wolof writers drop most often, plus the x/q spelling variation:
 
 Costs are small integers and are accumulated exactly, so ties in the
 suggestion ranking are reliable.  ``weighted_levenshtein`` is the O(n·m)
-dynamic program; ``weighted_levenshtein_reference`` is the plain recursive
-definition, exponential and kept as an independent cross-check.
+dynamic program; ``plain_edit_distance`` is the same program under the
+unit-cost model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .preprocess import normalize
 
 
 DEFAULT_SUBSTITUTION_PAIRS = (
@@ -27,12 +29,6 @@ DEFAULT_SUBSTITUTION_PAIRS = (
     ("é", "ë"),
     ("x", "q"),
 )
-
-_REFERENCE_MAX_LEN = 10
-
-
-class InputTooLongError(ValueError):
-    """Reference recursion refused: it is exponential in the input length."""
 
 
 def _symmetric(pairs) -> dict[tuple[str, str], int]:
@@ -54,12 +50,6 @@ class CostModel:
         default_factory=lambda: _symmetric(DEFAULT_SUBSTITUTION_PAIRS))
     mismatch: int = 2
 
-    def insert_cost(self, c: str) -> int:
-        return self.insert
-
-    def delete_cost(self, c: str) -> int:
-        return self.delete
-
     def substitute_cost(self, a: str, b: str) -> int:
         if a == b:
             return 0
@@ -75,7 +65,8 @@ class CostModel:
         """Load substitution overrides: ``char1<TAB>char2<TAB>cost`` lines.
 
         Unlisted unequal pairs keep the default cost of 2.  ``#`` starts a
-        comment; blank lines are ignored.
+        comment; blank lines are ignored.  Characters are lowercased and
+        NFC-composed like tokens, and each must then be a single scalar.
         """
         pairs = []
         with open(path, encoding="utf-8") as fh:
@@ -87,7 +78,12 @@ class CostModel:
                 if len(parts) != 3:
                     raise ValueError(
                         f"{path}:{lineno}: expected char1<TAB>char2<TAB>cost")
-                a, b, cost = parts[0], parts[1], int(parts[2])
+                a, b = normalize(parts[0]), normalize(parts[1])
+                if len(a) != 1 or len(b) != 1:
+                    raise ValueError(
+                        f"{path}:{lineno}: {a!r} and {b!r} must be one "
+                        f"character each")
+                cost = int(parts[2])
                 if cost < 0:
                     raise ValueError(f"{path}:{lineno}: negative cost")
                 pairs.append((a, b, cost))
@@ -105,62 +101,25 @@ def weighted_levenshtein(w1: str, w2: str, model: CostModel | None = None) -> in
     """Minimum total cost of transforming ``w1`` into ``w2``.
 
     Single-row dynamic program over the (|w1|+1) x (|w2|+1) cost matrix:
-    row/column 0 accumulate per-character delete/insert costs, every other
-    cell takes the cheapest of the three transitions.
+    row/column 0 accumulate insert/delete costs, every other cell takes the
+    cheapest of the three transitions.
     """
     model = model or _DEFAULT_MODEL
-    prev = [0] * (len(w2) + 1)
-    for j, c in enumerate(w2):
-        prev[j + 1] = prev[j] + model.insert_cost(c)
-    for a in w1:
-        curr = [prev[0] + model.delete_cost(a)]
+    ins, dele, sub = model.insert, model.delete, model.substitute_cost
+    prev = [j * ins for j in range(len(w2) + 1)]
+    for i, a in enumerate(w1, 1):
+        curr = [i * dele]
         for j, b in enumerate(w2):
-            curr.append(min(
-                prev[j + 1] + model.delete_cost(a),
-                curr[j] + model.insert_cost(b),
-                prev[j] + model.substitute_cost(a, b),
-            ))
+            curr.append(min(prev[j + 1] + dele,
+                            curr[j] + ins,
+                            prev[j] + sub(a, b)))
         prev = curr
     return prev[-1]
 
 
-def weighted_levenshtein_reference(w1: str, w2: str,
-                                   model: CostModel | None = None) -> int:
-    """Direct recursive evaluation of the distance definition.
-
-    Deliberately unmemoized, so it shares nothing with the dynamic program
-    beyond the recurrence itself.  Inputs are capped at 10 characters each
-    because the recursion tree grows exponentially.
-    """
-    if len(w1) > _REFERENCE_MAX_LEN or len(w2) > _REFERENCE_MAX_LEN:
-        raise InputTooLongError(
-            f"reference recursion is limited to {_REFERENCE_MAX_LEN} chars")
-    model = model or _DEFAULT_MODEL
-
-    def rec(i: int, j: int) -> int:
-        if i == 0:
-            return sum(model.insert_cost(c) for c in w2[:j])
-        if j == 0:
-            return sum(model.delete_cost(c) for c in w1[:i])
-        return min(
-            rec(i - 1, j) + model.delete_cost(w1[i - 1]),
-            rec(i, j - 1) + model.insert_cost(w2[j - 1]),
-            rec(i - 1, j - 1) + model.substitute_cost(w1[i - 1], w2[j - 1]),
-        )
-
-    return rec(len(w1), len(w2))
+_UNIT_MODEL = CostModel.unit()
 
 
 def plain_edit_distance(w1: str, w2: str) -> int:
     """Classic unit-cost Levenshtein distance."""
-    if len(w1) < len(w2):
-        w1, w2 = w2, w1
-    prev = list(range(len(w2) + 1))
-    for i, a in enumerate(w1, 1):
-        curr = [i]
-        for j, b in enumerate(w2):
-            curr.append(min(prev[j + 1] + 1,
-                            curr[j] + 1,
-                            prev[j] + (a != b)))
-        prev = curr
-    return prev[-1]
+    return weighted_levenshtein(w1, w2, _UNIT_MODEL)

@@ -1,8 +1,9 @@
 """Evaluation harness: corpus loading, confusion counts, the metric suite.
 
 The labeled corpus is a TSV file of ``word<TAB>label[<TAB>gold]`` rows
-(label ``valid`` or ``invalid``, case-insensitive; gold required exactly
-when invalid).  Each entry runs through the checker; a word the checker
+(word non-empty; label ``valid`` or ``invalid``, case-insensitive; gold
+required exactly when invalid).  Each entry runs through a ``SpellChecker``, whose own
+depth ``k`` sets the suggestion lists scored; a word the checker
 leaves untouched counts as recognized-correct, anything flagged counts as
 recognized-incorrect.  From the four confusion counts come lexical and
 error recall/precision/F-measure and predictive accuracy; suggestion
@@ -17,6 +18,7 @@ over those the checker corrected to something other than the gold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -113,6 +115,8 @@ def load_corpus(path) -> list[CorpusEntry]:
             if len(parts) < 2:
                 raise MalformedCorpusError(f"{where}: missing label column")
             word = normalize(parts[0].strip())
+            if not word:
+                raise MalformedCorpusError(f"{where}: empty word")
             label = parts[1].strip().lower()
             if label not in ("valid", "invalid"):
                 raise MalformedCorpusError(f"{where}: unknown label {label!r}")
@@ -130,43 +134,41 @@ def load_corpus(path) -> list[CorpusEntry]:
     return entries
 
 
+def _buckets(distances: Iterable[int]) -> dict[int, int]:
+    """Count each distance: distance -> occurrences, ascending."""
+    return dict(sorted(Counter(distances).items()))
+
+
 def histogram(entries: Iterable[CorpusEntry],
               predicate=None) -> dict[int, tuple[int, float]]:
     """Bucket invalid entries by edit distance to gold: distance -> (count, %).
 
     Valid entries are skipped; ``predicate`` narrows the selection further.
     """
-    counts: dict[int, int] = {}
-    total = 0
-    for entry in entries:
-        if entry.valid or (predicate is not None and not predicate(entry)):
-            continue
-        d = plain_edit_distance(entry.word, entry.gold)
-        counts[d] = counts.get(d, 0) + 1
-        total += 1
-    return {d: (n, 100.0 * n / total) for d, n in sorted(counts.items())}
+    counts = _buckets(plain_edit_distance(entry.word, entry.gold)
+                      for entry in entries
+                      if not entry.valid
+                      and (predicate is None or predicate(entry)))
+    total = sum(counts.values())
+    return {d: (n, 100.0 * n / total) for d, n in counts.items()}
 
 
-def evaluate(entries: Sequence[CorpusEntry], checker: SpellChecker,
-             k: int | None = None) -> EvalReport:
+def evaluate(entries: Sequence[CorpusEntry],
+             checker: SpellChecker) -> EvalReport:
     """Run every entry through the checker and score the results.
 
     Dropped entries (digit-bearing or excluded words) do not count toward
-    any metric.  ``k`` defaults to the checker's suggestion depth.
+    any metric.  Suggestion lists are the checker's own depth ``k``.
     """
     if not entries:
         raise EmptyCorpusError("corpus has no entries")
-    if k is not None:
-        checker = SpellChecker(checker.lexicon, checker.model,
-                               checker.translit_rules, k,
-                               checker.max_cost, checker.exclude)
 
     tp = fp = fn = tn = 0
     n_invalid = 0
     top1_hits = 0
     reciprocal_sum = 0.0
-    hist_all: dict[int, int] = {}
-    hist_wrong: dict[int, int] = {}
+    distances_all: list[int] = []
+    distances_wrong: list[int] = []
 
     for entry in entries:
         result = checker.check_word(entry.word)
@@ -187,12 +189,12 @@ def evaluate(entries: Sequence[CorpusEntry], checker: SpellChecker,
         else:
             tn += 1
         d = plain_edit_distance(entry.word, entry.gold)
-        hist_all[d] = hist_all.get(d, 0) + 1
+        distances_all.append(d)
         top1 = result.corrected if result.status is WordStatus.CORRECTED else None
         if top1 == entry.gold:
             top1_hits += 1
         else:
-            hist_wrong[d] = hist_wrong.get(d, 0) + 1
+            distances_wrong.append(d)
         if result.suggestions is not None:
             rank = result.suggestions.rank_of(entry.gold)
             if rank is not None:
@@ -204,8 +206,8 @@ def evaluate(entries: Sequence[CorpusEntry], checker: SpellChecker,
         detection=compute_metrics(counts),
         suggestion_adequacy=_ratio(top1_hits, n_invalid),
         mean_reciprocal_rank=_ratio(reciprocal_sum, n_invalid),
-        histogram_all=dict(sorted(hist_all.items())),
-        histogram_wrong=dict(sorted(hist_wrong.items())),
+        histogram_all=_buckets(distances_all),
+        histogram_wrong=_buckets(distances_wrong),
     )
 
 

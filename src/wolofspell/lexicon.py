@@ -1,10 +1,12 @@
 """Trie-backed lexicon with exact membership lookup.
 
-The lexicon file format is one word per line, UTF-8, LF or CRLF endings,
-surrounding whitespace trimmed, blank lines and ``#`` comments ignored.
-Duplicate words collapse silently.  Words are stored lowercase and
-NFC-composed; membership follows the character path from the root node
-(the empty string) and requires it to end on a terminal node.
+``TrieDict(words)`` builds the trie: each word is trimmed, lowercased and
+NFC-composed, and an empty word, or one with inner whitespace or a digit,
+raises ``MalformedLexiconError``.  ``load(path)`` reads a lexicon file
+through the same check: one word per line, UTF-8, LF or CRLF endings,
+blank lines and ``#`` comments ignored.  Duplicate words collapse silently.
+Membership follows the character path from the root node (the empty
+string) and requires it to end on a terminal node.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .preprocess import normalize
 
 
 class MalformedLexiconError(ValueError):
-    """A lexicon line contains whitespace inside a word or a digit."""
+    """A lexicon word is empty or contains inner whitespace or a digit."""
 
 
 class _Node:
@@ -30,21 +32,13 @@ class TrieDict:
     """Immutable-after-construction character trie over a word set."""
 
     def __init__(self, words: Iterable[str] = ()):
+        """Build the trie from raw word strings, checked and normalized."""
         self.root = _Node()
         self.word_count = 0
         for word in words:
-            self._insert(word)
+            self._insert(word, where=repr(word))
 
-    @classmethod
-    def from_words(cls, words: Iterable[str]) -> "TrieDict":
-        """Build a trie from raw word strings (normalized on the way in)."""
-        trie = cls()
-        for word in words:
-            trie._insert(cls._clean(word, where=repr(word)))
-        return trie
-
-    @staticmethod
-    def _clean(word: str, where: str) -> str:
+    def _insert(self, word: str, where: str) -> None:
         word = normalize(word.strip())
         if not word:
             raise MalformedLexiconError(f"{where}: empty word")
@@ -52,9 +46,6 @@ class TrieDict:
             raise MalformedLexiconError(f"{where}: whitespace inside word {word!r}")
         if any(c.isdigit() for c in word):
             raise MalformedLexiconError(f"{where}: digit inside word {word!r}")
-        return word
-
-    def _insert(self, word: str) -> None:
         node = self.root
         for c in word:
             node = node.children.setdefault(c, _Node())
@@ -106,8 +97,9 @@ class TrieDict:
 def load(path) -> TrieDict:
     """Load a lexicon file into a TrieDict.
 
-    Raises MalformedLexiconError on a word with internal whitespace or a
-    digit, and the usual OSError when the file cannot be read.
+    Raises MalformedLexiconError, naming ``path:line``, on a word with
+    internal whitespace or a digit, and the usual OSError when the file
+    cannot be read.
     """
     trie = TrieDict()
     with open(path, encoding="utf-8") as fh:
@@ -115,5 +107,5 @@ def load(path) -> TrieDict:
             word = line.strip()
             if not word or word.startswith("#"):
                 continue
-            trie._insert(TrieDict._clean(word, where=f"{path}:{lineno}"))
+            trie._insert(word, where=f"{path}:{lineno}")
     return trie

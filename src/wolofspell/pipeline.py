@@ -7,6 +7,10 @@ rewritten, foreign letters removed) and the transformed form queries the
 suggestion engine; the top-ranked candidate becomes the correction.  Tokens
 containing digits, and tokens on the exclusion list, are dropped: reported,
 but excluded from correction and from the reassembled text.
+
+``SpellChecker`` holds the configuration (lexicon, cost model, rules, k,
+cost cap, exclusion list) and is the one entry point for checking a word
+or a text.
 """
 
 from __future__ import annotations
@@ -120,19 +124,3 @@ class SpellChecker:
                     out_words.append(word)
             out_lines.append(" ".join(out_words))
         return CheckReport(tuple(results), "\n".join(out_lines))
-
-
-def check_text(text: str, lexicon: TrieDict, model: CostModel | None = None,
-               translit_rules: RuleSet | None = None, k: int = 10,
-               max_cost: int | None = None,
-               exclude: frozenset[str] | None = None) -> CheckReport:
-    checker = SpellChecker(lexicon, model, translit_rules, k, max_cost, exclude)
-    return checker.check_text(text)
-
-
-def check_word(word: str, lexicon: TrieDict, model: CostModel | None = None,
-               translit_rules: RuleSet | None = None, k: int = 10,
-               max_cost: int | None = None,
-               exclude: frozenset[str] | None = None) -> WordResult:
-    checker = SpellChecker(lexicon, model, translit_rules, k, max_cost, exclude)
-    return checker.check_word(word)

@@ -90,10 +90,9 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         if len(best) > k:
             best.pop()
 
+    ins, dele = model.insert, model.delete
     # row[i] = cost of transforming query[:i] into the current trie prefix
-    row0 = [0]
-    for c in query:
-        row0.append(row0[-1] + model.delete_cost(c))
+    row0 = [i * dele for i in range(len(query) + 1)]
 
     def walk(node, row, prefix):
         nonlocal nodes
@@ -101,11 +100,11 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         if node.terminal:
             offer("".join(prefix), row[-1])
         for c in sorted(node.children):
-            child_row = [row[0] + model.insert_cost(c)]
+            child_row = [row[0] + ins]
             for i, q in enumerate(query, 1):
                 child_row.append(min(
-                    row[i] + model.insert_cost(c),
-                    child_row[i - 1] + model.delete_cost(q),
+                    row[i] + ins,
+                    child_row[i - 1] + dele,
                     row[i - 1] + model.substitute_cost(q, c),
                 ))
             bound = ceiling()

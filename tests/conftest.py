@@ -46,4 +46,4 @@ def distractors() -> list[str]:
 @pytest.fixture(scope="session")
 def correction_lexicon(distractors) -> TrieDict:
     golds = [gold for _, gold in KNOWN_MISSPELLINGS]
-    return TrieDict.from_words(golds + distractors)
+    return TrieDict(golds + distractors)

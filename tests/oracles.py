@@ -91,17 +91,23 @@ def rule_check(word: str) -> tuple[bool, list[tuple[str, int]]]:
     return False, first_failure
 
 
-def wld_recursive(w1: str, w2: str) -> int:
-    """Weighted distance straight from the recursive definition."""
+def wld_recursive(w1: str, w2: str, ins: int = 1, dele: int = 1) -> int:
+    """Weighted distance straight from the recursive definition.
+
+    Deliberately unmemoized, so it shares nothing with the dynamic program
+    beyond the recurrence itself; exponential, so keep inputs short.
+    ``ins``/``dele`` price inserting a character of ``w2`` and deleting one
+    of ``w1``.
+    """
     if not w1:
-        return len(w2)
+        return ins * len(w2)
     if not w2:
-        return len(w1)
+        return dele * len(w1)
     a, b = w1[-1], w2[-1]
     sub = 0 if a == b else (1 if (a, b) in PAIR_COST_1 else 2)
-    return min(wld_recursive(w1[:-1], w2) + 1,
-               wld_recursive(w1, w2[:-1]) + 1,
-               wld_recursive(w1[:-1], w2[:-1]) + sub)
+    return min(wld_recursive(w1[:-1], w2, ins, dele) + dele,
+               wld_recursive(w1, w2[:-1], ins, dele) + ins,
+               wld_recursive(w1[:-1], w2[:-1], ins, dele) + sub)
 
 
 def lev_recursive(w1: str, w2: str) -> int:

@@ -16,11 +16,7 @@ from wolofspell.alphabet import (
     WEAK_CONSONANTS,
     WOLOF_CHARS,
 )
-from wolofspell.distance import (
-    DEFAULT_SUBSTITUTION_PAIRS,
-    weighted_levenshtein,
-    weighted_levenshtein_reference,
-)
+from wolofspell.distance import DEFAULT_SUBSTITUTION_PAIRS, weighted_levenshtein
 from wolofspell.evaluation import (
     ConfusionCounts,
     CorpusEntry,
@@ -79,7 +75,7 @@ def test_criterion_1_distance_matches_reference_recursion(model):
             for w1 in by_length[l1]:
                 for w2 in by_length[l2]:
                     assert weighted_levenshtein(w1, w2, model) == \
-                        weighted_levenshtein_reference(w1, w2, model), (w1, w2)
+                        oracles.wld_recursive(w1, w2), (w1, w2)
                     checked += 1
     assert checked == 54_121
 
@@ -88,7 +84,7 @@ def test_criterion_1_distance_matches_reference_recursion(model):
         w1 = random_word(rng, rng.randint(0, 8), FULL_ALPHABET)
         w2 = random_word(rng, rng.randint(0, 8), FULL_ALPHABET)
         assert weighted_levenshtein(w1, w2, model) == \
-            weighted_levenshtein_reference(w1, w2, model), (w1, w2)
+            oracles.wld_recursive(w1, w2), (w1, w2)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -251,7 +247,7 @@ def _build_big_lexicon(sample_words, size=1410):
 def test_criterion_8_query_latency_and_pruning(sample_words, model):
     """best() under 50 ms median on a 1410-word lexicon; pruning pays off."""
     words = _build_big_lexicon(sample_words)
-    trie = TrieDict.from_words(words)
+    trie = TrieDict(words)
     assert trie.word_count == 1410
 
     rng = random.Random(88)

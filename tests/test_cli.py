@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 from wolofspell.cli import EXIT_ERROR, EXIT_MALFORMED, main, run
@@ -101,6 +102,13 @@ class TestEval:
         path = tmp_path / "corpus.tsv"
         path.write_text("deuk\tinvalid\n", encoding="utf-8")
         assert run(["eval", str(path)]) == EXIT_MALFORMED
+
+    @pytest.mark.parametrize("row", ["\tvalid", "\tinvalid\tdëkk"])
+    def test_empty_word_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(row + "\n", encoding="utf-8")
+        assert run(["eval", str(path)]) == EXIT_MALFORMED
+        assert f"{path}:1" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, capsys):
         assert run(["eval", "/no/such/corpus.tsv"]) == EXIT_ERROR

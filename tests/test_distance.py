@@ -2,15 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolofspell.alphabet import WOLOF_CHARS
 from wolofspell.distance import (
     DEFAULT_SUBSTITUTION_PAIRS,
     CostModel,
-    InputTooLongError,
     plain_edit_distance,
     weighted_levenshtein,
-    weighted_levenshtein_reference,
 )
 
 import oracles
@@ -37,8 +36,8 @@ class TestCostModel:
         assert model.substitute_cost("a", "o") == 2
 
     def test_insert_delete_unit(self, model):
-        assert model.insert_cost("a") == 1
-        assert model.delete_cost("ñ") == 1
+        assert model.insert == 1
+        assert model.delete == 1
 
     def test_symmetry_of_table(self, model):
         for (a, b), cost in model.substitution_overrides.items():
@@ -55,9 +54,19 @@ class TestCostModel:
 
     def test_override_file_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "costs.tsv"
-        path.write_text("b\td\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            CostModel.from_file(path)
+        for row in ("b\td\n", "ou\tu\t0\n", "a\tbb\t1\n"):
+            path.write_text(row, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{path}:1"):
+                CostModel.from_file(path)
+
+    def test_override_file_normalizes_characters(self, tmp_path):
+        path = tmp_path / "costs.tsv"
+        # a decomposed à (a + U+0300), and an uppercase decomposed ë
+        path.write_text("a\u0300\ta\t5\nE\u0308\te\t0\n", encoding="utf-8")
+        custom = CostModel.from_file(path)
+        assert custom.substitute_cost("a", "à") == 5
+        assert custom.substitute_cost("à", "a") == 5
+        assert weighted_levenshtein("dëkk", "dekk", custom) == 0
 
 
 class TestWeightedLevenshtein:
@@ -129,26 +138,34 @@ class TestWeightedLevenshtein:
 
 class TestReferenceRecursion:
     def test_single_substitution(self, model):
-        assert weighted_levenshtein_reference("a", "à", model) == 1
+        assert oracles.wld_recursive("a", "à") == 1
+        assert weighted_levenshtein("a", "à", model) == 1
 
     def test_empty_pair(self, model):
-        assert weighted_levenshtein_reference("", "", model) == 0
-
-    def test_length_guard(self, model):
-        with pytest.raises(InputTooLongError):
-            weighted_levenshtein_reference("a" * 11, "b", model)
+        assert oracles.wld_recursive("", "") == 0
+        assert weighted_levenshtein("", "", model) == 0
 
     def test_agrees_with_dp(self, model):
         rng = random.Random(67)
         for _ in range(150):
             w1, w2 = random_word(rng, 5), random_word(rng, 5)
-            assert weighted_levenshtein_reference(w1, w2, model) == \
+            assert oracles.wld_recursive(w1, w2) == \
                 weighted_levenshtein(w1, w2, model)
 
     def test_unit_model_reduces_to_max_base_case(self):
         unit = CostModel.unit()
-        assert weighted_levenshtein_reference("", "abcd", unit) == 4
-        assert weighted_levenshtein_reference("ab", "", unit) == 2
+        assert oracles.lev_recursive("", "abcd") == 4
+        assert oracles.lev_recursive("ab", "") == 2
+        assert weighted_levenshtein("", "abcd", unit) == 4
+        assert weighted_levenshtein("ab", "", unit) == 2
+
+    @pytest.mark.parametrize("ins,dele", [(1, 3), (3, 1)])
+    @settings(max_examples=300, deadline=None)
+    @given(w1=st.text(ALPHABET, max_size=6), w2=st.text(ALPHABET, max_size=6))
+    def test_unequal_insert_delete_costs(self, ins, dele, w1, w2):
+        model = CostModel(insert=ins, delete=dele)
+        assert weighted_levenshtein(w1, w2, model) == \
+            oracles.wld_recursive(w1, w2, ins=ins, dele=dele)
 
 
 class TestPlainEditDistance:

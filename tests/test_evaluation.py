@@ -46,6 +46,12 @@ class TestLoadCorpus:
         with pytest.raises(MalformedCorpusError):
             load_corpus(path)
 
+    def test_empty_word_rejected(self, tmp_path):
+        for row in ("\tvalid", " \tinvalid\tdëkk"):
+            path = write_corpus(tmp_path, ["dëkk\tvalid", row])
+            with pytest.raises(MalformedCorpusError, match=f"{path}:2"):
+                load_corpus(path)
+
     def test_extra_columns_rejected(self, tmp_path):
         path = write_corpus(tmp_path, ["deuk\tinvalid\tdëkk\textra"])
         with pytest.raises(MalformedCorpusError):
@@ -117,7 +123,7 @@ TOY_ENTRIES = (
 
 @pytest.fixture()
 def toy_checker():
-    return SpellChecker(TrieDict.from_words(TOY_LEXICON))
+    return SpellChecker(TrieDict(TOY_LEXICON))
 
 
 class TestEvaluate:
@@ -134,7 +140,7 @@ class TestEvaluate:
         assert report.histogram_wrong == {4: 1}
 
     def test_every_gold_at_rank_one(self):
-        checker = SpellChecker(TrieDict.from_words(["dëkk", "musiba"]))
+        checker = SpellChecker(TrieDict(["dëkk", "musiba"]))
         entries = [CorpusEntry("deuk", valid=False, gold="dëkk"),
                    CorpusEntry("mousiba", valid=False, gold="musiba")]
         report = evaluate(entries, checker)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wolofspell import sample_lexicon_path
 from wolofspell.lexicon import MalformedLexiconError, TrieDict, load
 
 
@@ -9,6 +10,13 @@ def write_lexicon(tmp_path, lines, name="lex.txt", newline="\n"):
     path = tmp_path / name
     path.write_bytes(newline.join(lines).encode("utf-8"))
     return path
+
+
+# The two construction paths, which share one check: a file, and a word list.
+BUILDERS = (
+    lambda tmp_path, words: load(write_lexicon(tmp_path, words)),
+    lambda tmp_path, words: TrieDict(words),
+)
 
 
 class TestLoad:
@@ -33,20 +41,39 @@ class TestLoad:
         assert trie.contains("dëkk") and trie.contains("bi")
 
     def test_words_normalized_on_load(self, tmp_path):
-        path = write_lexicon(tmp_path, ["DËKK", "tËdd"])
-        trie = load(path)
-        assert trie.contains("dëkk")
-        assert trie.contains("tëdd")
+        for build in BUILDERS:
+            trie = build(tmp_path, ["DËKK", "tËdd"])
+            assert trie.contains("dëkk")
+            assert trie.contains("tëdd")
 
     def test_internal_whitespace_rejected(self, tmp_path):
-        path = write_lexicon(tmp_path, ["dëkk bi"])
-        with pytest.raises(MalformedLexiconError):
-            load(path)
+        for build in BUILDERS:
+            with pytest.raises(MalformedLexiconError):
+                build(tmp_path, ["dëkk bi"])
 
     def test_digit_rejected(self, tmp_path):
-        path = write_lexicon(tmp_path, ["dëkk2"])
-        with pytest.raises(MalformedLexiconError):
+        for build in BUILDERS:
+            with pytest.raises(MalformedLexiconError):
+                build(tmp_path, ["dëkk2"])
+
+    def test_empty_word_rejected(self):
+        # a lexicon file has no empty words: blank lines are skipped
+        for words in ([""], ["dëkk", "  "]):
+            with pytest.raises(MalformedLexiconError):
+                TrieDict(words)
+
+    def test_error_names_the_file_line(self, tmp_path):
+        path = write_lexicon(tmp_path, ["dëkk", "# note", "dëkk2"])
+        with pytest.raises(MalformedLexiconError, match=f"{path}:3"):
             load(path)
+
+    def test_word_list_builds_the_same_trie(self):
+        path = sample_lexicon_path()
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+                 if line.strip() and not line.startswith("#")]
+        from_list, from_file = TrieDict(lines), load(path)
+        assert list(from_list.iterate()) == list(from_file.iterate())
+        assert from_list.node_count() == from_file.node_count()
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -55,14 +82,14 @@ class TestLoad:
 
 class TestContains:
     def test_member(self):
-        assert TrieDict.from_words(["dëkk"]).contains("dëkk")
+        assert TrieDict(["dëkk"]).contains("dëkk")
 
     def test_proper_prefix_is_not_a_member(self):
-        trie = TrieDict.from_words(["dëkk"])
+        trie = TrieDict(["dëkk"])
         assert not trie.contains("dë")
 
     def test_extension_is_not_a_member(self):
-        trie = TrieDict.from_words(["dëkk"])
+        trie = TrieDict(["dëkk"])
         assert not trie.contains("dëkkk")
 
     def test_empty_trie(self):
@@ -81,7 +108,7 @@ class TestContains:
 
 class TestIterate:
     def test_sorted_order(self):
-        trie = TrieDict.from_words(["b", "a"])
+        trie = TrieDict(["b", "a"])
         assert list(trie.iterate()) == ["a", "b"]
 
     def test_empty(self):
@@ -97,7 +124,7 @@ class TestIterate:
         for _ in range(20):
             shuffled = words[:]
             rng.shuffle(shuffled)
-            assert list(TrieDict.from_words(shuffled).iterate()) == expected
+            assert list(TrieDict(shuffled).iterate()) == expected
 
     def test_yields_each_word_once(self, sample_words):
         assert len(sample_words) == len(set(sample_words))
@@ -108,6 +135,6 @@ class TestNodeCount:
         assert TrieDict().node_count() == 1
 
     def test_shared_prefixes_share_nodes(self):
-        trie = TrieDict.from_words(["ab", "ac"])
+        trie = TrieDict(["ab", "ac"])
         # root, a, b, c
         assert trie.node_count() == 4

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolofspell.alphabet import WOLOF_CHARS
-from wolofspell.distance import weighted_levenshtein
+from wolofspell.distance import CostModel, weighted_levenshtein
 from wolofspell.lexicon import TrieDict
 from wolofspell.suggest import EmptyLexiconError, Suggestion, best, suggest
 
@@ -36,7 +37,7 @@ def mutations(words, rng, count, max_edits=3):
 
 class TestSuggest:
     def test_three_word_dictionary(self, model):
-        trie = TrieDict.from_words(["tànk", "taal", "ñaar"])
+        trie = TrieDict(["tànk", "taal", "ñaar"])
         result = suggest("tank", trie, model, k=3)
         assert [(s.word, s.cost) for s in result.items] == [
             ("tànk", 1), ("taal", 4), ("ñaar", 6)]
@@ -55,8 +56,23 @@ class TestSuggest:
             got = suggest(query, sample_lexicon, model, k=10)
             assert [(s.word, s.cost) for s in got.items] == expected, query
 
+    @pytest.mark.parametrize("ins,dele", [(1, 3), (3, 1)])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_unequal_insert_delete_costs_match_linear_scan(
+            self, sample_lexicon, sample_words, ins, dele, data):
+        model = CostModel(insert=ins, delete=dele)
+        word = data.draw(st.sampled_from(sample_words))
+        cut = data.draw(st.integers(0, len(word)))
+        noise = data.draw(st.text(ALPHABET, max_size=3))
+        query = word[:cut] + noise + word[cut + 1:] or "a"
+        for k in (1, 5):
+            expected = linear_scan(query, sample_words, model, k=k)
+            got = suggest(query, sample_lexicon, model, k=k)
+            assert [(s.word, s.cost) for s in got.items] == expected, (query, k)
+
     def test_ties_break_lexicographically(self, model):
-        trie = TrieDict.from_words(["bak", "dak", "cak"])
+        trie = TrieDict(["bak", "dak", "cak"])
         result = suggest("tak", trie, model, k=3)
         assert [s.word for s in result.items] == ["bak", "cak", "dak"]
         assert len({s.cost for s in result.items}) == 1
@@ -129,7 +145,7 @@ class TestPruning:
 
 class TestBest:
     def test_single_member(self, model):
-        trie = TrieDict.from_words(["tànk"])
+        trie = TrieDict(["tànk"])
         assert best("tank", trie, model) == Suggestion("tànk", 1)
 
     def test_member_query_costs_zero(self, sample_lexicon, model):
