@@ -172,6 +172,8 @@ def suggest(ctx, word, **_kwargs):
     """Print up to k suggestions for WORD as word<TAB>cost lines."""
     checker, _ = _build_config(ctx)
     norm = normalize(word).strip()
+    if not norm:
+        raise click.UsageError(f"WORD {word!r} is empty after normalization")
     result = checker.check_word(norm)
     if result.status is WordStatus.CORRECT:
         candidates = suggest_words(norm, checker.lexicon, checker.model,

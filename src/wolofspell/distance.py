@@ -83,7 +83,11 @@ class CostModel:
                     raise ValueError(
                         f"{path}:{lineno}: {a!r} and {b!r} must be one "
                         f"character each")
-                cost = int(parts[2])
+                try:
+                    cost = int(parts[2])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: cost {parts[2]!r} is "
+                                     f"not an integer") from None
                 if cost < 0:
                     raise ValueError(f"{path}:{lineno}: negative cost")
                 pairs.append((a, b, cost))

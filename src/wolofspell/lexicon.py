@@ -11,6 +11,7 @@ string) and requires it to end on a terminal node.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator
 
 from .preprocess import normalize
@@ -21,11 +22,18 @@ class MalformedLexiconError(ValueError):
 
 
 class _Node:
-    __slots__ = ("children", "terminal")
+    """A trie node.  ``lo``/``hi`` are the shortest and longest remaining
+    length of a word ending in this node's subtree (``lo`` is 0 on a
+    terminal node); the suggestion walk bounds edit costs with them.  A
+    node with no word below it yet (an empty trie's root) has lo > hi."""
 
-    def __init__(self):
+    __slots__ = ("children", "terminal", "lo", "hi")
+
+    def __init__(self, lo: int = sys.maxsize, hi: int = 0):
         self.children: dict[str, _Node] = {}
         self.terminal = False
+        self.lo = lo
+        self.hi = hi
 
 
 class TrieDict:
@@ -42,13 +50,27 @@ class TrieDict:
         word = normalize(word.strip())
         if not word:
             raise MalformedLexiconError(f"{where}: empty word")
-        if any(c.isspace() for c in word):
-            raise MalformedLexiconError(f"{where}: whitespace inside word {word!r}")
-        if any(c.isdigit() for c in word):
-            raise MalformedLexiconError(f"{where}: digit inside word {word!r}")
+        # No alphabetic code point is also whitespace or a digit, so an
+        # all-alphabetic word needs neither scan (tests pin this).
+        if not word.isalpha():
+            if any(c.isspace() for c in word):
+                raise MalformedLexiconError(
+                    f"{where}: whitespace inside word {word!r}")
+            if any(c.isdigit() for c in word):
+                raise MalformedLexiconError(f"{where}: digit inside word {word!r}")
         node = self.root
+        rest = len(word)
         for c in word:
-            node = node.children.setdefault(c, _Node())
+            if rest < node.lo:
+                node.lo = rest
+            if rest > node.hi:
+                node.hi = rest
+            rest -= 1
+            child = node.children.get(c)
+            if child is None:
+                child = node.children[c] = _Node(rest, rest)
+            node = child
+        node.lo = 0
         if not node.terminal:
             node.terminal = True
             self.word_count += 1
@@ -70,15 +92,16 @@ class TrieDict:
 
     def iterate(self) -> Iterator[str]:
         """Yield every stored word once, in lexicographic scalar order."""
-        yield from self._walk(self.root, [])
-
-    def _walk(self, node, prefix):
-        if node.terminal:
-            yield "".join(prefix)
-        for c in sorted(node.children):
-            prefix.append(c)
-            yield from self._walk(node.children[c], prefix)
-            prefix.pop()
+        # Pre-order walk on an explicit stack: a word precedes its
+        # extensions, and children are pushed largest first so the smallest
+        # is visited next.
+        stack = [(self.root, "")]
+        while stack:
+            node, prefix = stack.pop()
+            if node.terminal:
+                yield prefix
+            for c in sorted(node.children, reverse=True):
+                stack.append((node.children[c], prefix + c))
 
     def __iter__(self) -> Iterator[str]:
         return self.iterate()

@@ -78,6 +78,8 @@ class SpellChecker:
 
     def check_word(self, word: str, position: int = 0) -> WordResult:
         """Run one normalized token through detection and correction."""
+        if not word:
+            raise ValueError("word must be non-empty")
         token = Token(word, position)
         if preprocess.contains_digit(word) or word in self.exclude:
             return WordResult(token, WordStatus.DROPPED)

@@ -2,12 +2,30 @@
 
 One dynamic-programming row (indexed by query prefix, length |query|+1) is
 carried down every trie edge, so words sharing a prefix share the work of
-the distance computation.  All edit costs are non-negative, which makes the
-row minimum an admissible lower bound on the final cost of every word below
-the current node; a subtree is abandoned as soon as that bound exceeds the
-cost ceiling (the current k-th best cost, or the caller's cap).  Pruning on
-a strictly-greater bound keeps ties intact, so the pruned walk returns
-exactly what a full scan would.
+the distance computation.  Substitution costs are looked up once per query
+and trie character (a column over the query), not once per cell.
+
+A subtree is abandoned when a lower bound on the cost of every word in it
+exceeds the cost ceiling (the current k-th best cost, or the caller's cap).
+Pruning on a strictly-greater bound keeps ties intact.  Two admissible
+bounds are combined into one.  All edit costs are non-negative, so a word
+below the node costs at least ``row[i]`` plus the cost of turning the rest
+of the query, ``query[i:]``, into the rest of the word, for some i; taking
+that second cost as 0 gives the row minimum, Ukkonen's cut-off.  The rest
+of the word has between ``lo`` and ``hi`` characters (stored on each trie
+node), so turning ``query[i:]`` into it takes at least one insertion per
+missing character or one deletion per extra one.  The bound used is the
+minimum over i of ``row[i]`` plus that length penalty, never below the row
+minimum.
+
+The walk is iterative, on an explicit stack, so word length is not limited
+by recursion depth.  A node's bound is checked again when it is popped,
+since the ceiling may have fallen since it was pushed, and siblings are
+pushed so that the one with the lowest bound is visited first.  Every word
+that is not pruned is offered with its exact cost, and a pruned word costs
+more than a ceiling that never rises again, so visit order changes how much
+is pruned, never the result: the pruned walk returns exactly what a full
+scan would.
 
 Candidates rank by (cost, word): cheapest first, lexicographic among equals.
 """
@@ -15,10 +33,15 @@ Candidates rank by (cost, word): cheapest first, lexicographic among equals.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 
 from .distance import CostModel, default_cost_model
 from .lexicon import TrieDict
+
+
+_bound = itemgetter(0)
 
 
 class EmptyLexiconError(ValueError):
@@ -70,53 +93,90 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     if k < 1:
         raise ValueError("k must be positive")
     model = model or default_cost_model()
+    ins, dele, sub = model.insert, model.delete, model.substitute_cost
+    n = len(query)
 
-    # best[] holds (cost, word) sorted ascending, at most k entries.
+    # best[] holds (cost, word) sorted ascending, at most k entries.  No word
+    # costing more than ceiling can enter it; ceiling falls once best is full.
     best: list[tuple[int, str]] = []
+    ceiling = sys.maxsize if max_cost is None else max_cost
+    # cols[c][i]: cost of substituting trie character c for query[i].
+    cols: dict[str, list[int]] = {}
+    # pens[lo, hi][i]: least cost of turning query[i:] into a string of
+    # lo..hi characters.
+    pens: dict[tuple[int, int], list[int]] = {}
     nodes = 0
 
-    def ceiling() -> int | None:
-        bound = best[-1][0] if len(best) == k else None
-        if max_cost is not None and (bound is None or max_cost < bound):
-            bound = max_cost
-        return bound
-
-    def offer(word: str, cost: int) -> None:
-        if max_cost is not None and cost > max_cost:
-            return
-        if len(best) == k and (cost, word) >= best[-1]:
-            return
-        bisect.insort(best, (cost, word))
-        if len(best) > k:
-            best.pop()
-
-    ins, dele = model.insert, model.delete
-    # row[i] = cost of transforming query[:i] into the current trie prefix
-    row0 = [i * dele for i in range(len(query) + 1)]
-
-    def walk(node, row, prefix):
-        nonlocal nodes
+    # row[i] = cost of transforming query[:i] into the node's prefix
+    stack = [(0, trie.root, [i * dele for i in range(n + 1)], "")]
+    while stack:
+        bound, node, row, prefix = stack.pop()
+        if prune and bound > ceiling:
+            continue
         nodes += 1
-        if node.terminal:
-            offer("".join(prefix), row[-1])
-        for c in sorted(node.children):
-            child_row = [row[0] + ins]
-            for i, q in enumerate(query, 1):
-                child_row.append(min(
-                    row[i] + ins,
-                    child_row[i - 1] + dele,
-                    row[i - 1] + model.substitute_cost(q, c),
-                ))
-            bound = ceiling()
-            if prune and bound is not None and min(child_row) > bound:
-                continue
-            prefix.append(c)
-            walk(node.children[c], child_row, prefix)
-            prefix.pop()
+        first, tail = row[0] + ins, row[1:]
+        kept = []
+        for c, child in node.children.items():
+            col = cols.get(c)
+            if col is None:
+                col = cols[c] = [sub(q, c) for q in query]
+            diag, left = row[0], first
+            child_row = [first]
+            for up, cell in zip(tail, col):
+                cell += diag
+                diag = up
+                up += ins
+                if up < cell:
+                    cell = up
+                left += dele
+                if left < cell:
+                    cell = left
+                child_row.append(cell)
+                left = cell
+            bound = 0
+            if prune:
+                pen = pens.get((child.lo, child.hi))
+                if pen is None:
+                    pen = pens[child.lo, child.hi] = _length_penalties(
+                        n, child.lo, child.hi, ins, dele)
+                bound = min(map(add, child_row, pen))
+                if bound > ceiling:
+                    continue
+            word = prefix + c
+            if child.terminal:
+                cost = child_row[-1]
+                if cost <= ceiling and (len(best) < k or (cost, word) < best[-1]):
+                    bisect.insort(best, (cost, word))
+                    if len(best) > k:
+                        best.pop()
+                    if len(best) == k and best[-1][0] < ceiling:
+                        ceiling = best[-1][0]
+            if child.children:
+                kept.append((bound, child, child_row, word))
+            else:
+                nodes += 1  # a leaf: offered above, nothing left to expand
+        # Lowest bound on top of the stack: an early low ceiling prunes more.
+        kept.sort(key=_bound, reverse=True)
+        stack.extend(kept)
 
-    walk(trie.root, row0, [])
     items = [Suggestion(word, cost) for cost, word in best]
     return SuggestionList(items=items, query=query, nodes_expanded=nodes)
+
+
+def _length_penalties(n: int, lo: int, hi: int, ins: int,
+                      dele: int) -> list[int]:
+    """Per query position i, the least cost of aligning the n - i query
+    characters left with a suffix of length lo..hi: each missing character
+    is an insertion, each extra one a deletion."""
+    pen = []
+    for rest in range(n, -1, -1):
+        if rest < lo:
+            pen.append((lo - rest) * ins)
+        elif rest > hi:
+            pen.append((rest - hi) * dele)
+        else:
+            pen.append(0)
+    return pen
 
 
 def best(query: str, trie: TrieDict,

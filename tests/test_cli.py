@@ -71,6 +71,13 @@ class TestSuggest:
         result = invoke(["suggest", "-k", "1", "tank"])
         assert result.stdout.splitlines() == ["tànk\t1"]
 
+    @pytest.mark.parametrize("word", [" ", ""])
+    def test_empty_word_is_a_usage_error(self, capsys, word):
+        assert run(["suggest", word]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "Usage:" in err
+        assert f"WORD {word!r} is empty" in err
+
     def test_costs_ascending(self):
         result = invoke(["suggest", "deuk"])
         costs = [int(line.split("\t")[1]) for line in result.stdout.splitlines()]

@@ -54,10 +54,14 @@ class TestCostModel:
 
     def test_override_file_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "costs.tsv"
-        for row in ("b\td\n", "ou\tu\t0\n", "a\tbb\t1\n"):
+        for row, detail in (("b\td\n", "expected"),
+                            ("ou\tu\t0\n", "one character"),
+                            ("a\tbb\t1\n", "one character"),
+                            ("b\td\tx\n", "cost 'x'")):
             path.write_text(row, encoding="utf-8")
-            with pytest.raises(ValueError, match=f"{path}:1"):
+            with pytest.raises(ValueError, match=f"{path}:1") as err:
                 CostModel.from_file(path)
+            assert detail in str(err.value), row
 
     def test_override_file_normalizes_characters(self, tmp_path):
         path = tmp_path / "costs.tsv"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -75,6 +76,13 @@ class TestLoad:
         assert list(from_list.iterate()) == list(from_file.iterate())
         assert from_list.node_count() == from_file.node_count()
 
+    def test_alphabetic_code_points_are_never_space_or_digit(self):
+        # _insert skips its whitespace and digit scans for an all-alphabetic
+        # word; that is sound only while this holds on the running Python.
+        both = [hex(cp) for cp in range(sys.maxunicode + 1)
+                if chr(cp).isalpha() and (chr(cp).isspace() or chr(cp).isdigit())]
+        assert both == []
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
             load(tmp_path / "missing.txt")
@@ -128,6 +136,23 @@ class TestIterate:
 
     def test_yields_each_word_once(self, sample_words):
         assert len(sample_words) == len(set(sample_words))
+
+
+class TestLengthBounds:
+    def test_lo_hi_match_the_words_below_each_node(self, sample_words):
+        # every node's lo/hi against the remaining lengths of the words that
+        # extend its prefix, read off the word list, in two insertion orders
+        small = ["ab", "abcd", "b", "abc"]
+        for words in (sample_words, sample_words[::-1], small, small[::-1]):
+            stack = [(TrieDict(words).root, "")]
+            while stack:
+                node, prefix = stack.pop()
+                rest = [len(w) - len(prefix) for w in words
+                        if w.startswith(prefix)]
+                assert (node.lo, node.hi) == (min(rest), max(rest)), prefix
+                assert (node.lo == 0) == node.terminal, prefix
+                stack.extend((child, prefix + c)
+                             for c, child in node.children.items())
 
 
 class TestNodeCount:

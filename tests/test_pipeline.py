@@ -68,6 +68,10 @@ class TestCheckWord:
         assert result.status is WordStatus.NO_SUGGESTION
         assert result.output_word == "hvh"
 
+    def test_empty_word_rejected(self, sample_lexicon):
+        with pytest.raises(ValueError, match="word must be non-empty"):
+            SpellChecker(sample_lexicon).check_word("")
+
     def test_empty_lexicon_propagates(self):
         with pytest.raises(EmptyLexiconError):
             SpellChecker(TrieDict()).check_word("dëkk")

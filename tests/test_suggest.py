@@ -143,6 +143,65 @@ class TestPruning:
             assert pruned.nodes_expanded < full.nodes_expanded
 
 
+class TestLengthBound:
+    def test_length_bound_prunes_where_row_minimum_would_not(self, model):
+        trie = TrieDict(["ab", "abcdefgh"])
+        pruned = suggest("abc", trie, model, k=10, max_cost=1)
+        full = suggest("abc", trie, model, k=10, max_cost=1, prune=False)
+        assert pruned.items == full.items == [Suggestion("ab", 1)]
+        # At node "abc" the row minimum is 0 (the prefix equals the query),
+        # and at "abcd" it is 1, so the row minimum alone would expand both
+        # under max_cost=1.  Every word below "abc" has 5 more characters
+        # than the query has left, so the length bound there is 5: only the
+        # root, "a" and "ab" are expanded.
+        assert pruned.nodes_expanded == 3
+        assert full.nodes_expanded == trie.node_count() == 9
+
+    def test_missing_characters_are_priced_as_insertions(self):
+        # "abb" needs two insertions (cost 2 under insert=1), a tie with
+        # substituting "b" that "abb" wins lexicographically; pricing the
+        # missing characters as deletions (3 each) would prune it.
+        model = CostModel(insert=1, delete=3)
+        trie = TrieDict(["abb", "b"])
+        assert suggest("a", trie, model, k=1).items == [Suggestion("abb", 2)]
+
+
+SMALL_ALPHABET = "abé"
+MODELS = (
+    CostModel(insert=1, delete=1),
+    CostModel(insert=1, delete=3),
+    CostModel(insert=3, delete=1),
+    CostModel(substitution_overrides={("a", "é"): 0, ("é", "a"): 0}),
+)
+
+
+class TestGeneratedTries:
+    @settings(max_examples=500, deadline=None)
+    @given(words=st.lists(st.text(SMALL_ALPHABET, min_size=1, max_size=12),
+                          min_size=1, max_size=25),
+           query=st.text(SMALL_ALPHABET + "x", min_size=1, max_size=12),
+           model=st.sampled_from(MODELS),
+           k=st.sampled_from((1, 3, 10)),
+           max_cost=st.sampled_from((None, 0, 1, 3)))
+    def test_matches_linear_scan(self, words, query, model, k, max_cost):
+        trie = TrieDict(words)
+        expected = linear_scan(query, set(words), model, k, max_cost)
+        got = suggest(query, trie, model, k=k, max_cost=max_cost)
+        assert [(s.word, s.cost) for s in got.items] == expected
+
+
+class TestLongWord:
+    def test_5000_character_word(self, model):
+        trie = TrieDict(["a" * 5000, "ab"])
+        assert list(trie.iterate()) == ["a" * 5000, "ab"]
+        assert trie.node_count() == 5002
+        result = suggest("aab", trie, model, k=2)
+        assert [(s.word, s.cost) for s in result.items] == [
+            ("ab", 1), ("a" * 5000, 4999)]
+        full = suggest("aab", trie, model, k=2, prune=False)
+        assert full.items == result.items
+
+
 class TestBest:
     def test_single_member(self, model):
         trie = TrieDict(["tànk"])
