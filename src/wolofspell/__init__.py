@@ -14,7 +14,6 @@ from .alphabet import (
     UnsegmentableError,
     is_wolof_char,
     segment,
-    segmentations,
 )
 from .distance import CostModel, plain_edit_distance, weighted_levenshtein
 from .evaluation import (

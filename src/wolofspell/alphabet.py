@@ -4,9 +4,7 @@ The Wolof writing system distinguishes weak consonants, geminate (doubled)
 consonants, prenasalized consonants, short vowels and long (doubled) vowels.
 Geminates and prenasalized consonants together form the "strong" class.
 A grapheme is one or two Unicode scalars; segmentation cuts a word into
-graphemes by greedy longest match, with an enumeration mode that backtracks
-through every alternative parse of ambiguous digraphs (``nn`` read as one
-geminate or two weak consonants, ``aa`` as one long vowel or two short ones).
+graphemes by greedy longest match.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 
 class GraphemeClass(Enum):
@@ -142,6 +139,10 @@ class GraphemeInventory:
     def grapheme(self, text: str) -> Grapheme:
         return Grapheme(text, self._by_text[text])
 
+    def class_of(self, text: str) -> GraphemeClass | None:
+        """The class of grapheme ``text``, or None when it is not one."""
+        return self._by_text.get(text)
+
     def is_wolof_char(self, c: str) -> bool:
         """True iff ``c`` is a single scalar of the Wolof alphabet.
 
@@ -170,29 +171,6 @@ class GraphemeInventory:
                 i += 1
         return out
 
-    def segmentations(self, word: str) -> Iterator[list[Grapheme]]:
-        """Return an iterator over every segmentation of ``word``, greedy-first.
-
-        At each position the digraph reading (when the inventory has one) is
-        tried before the single-scalar reading, so the first yielded parse is
-        the greedy one.  Raises UnsegmentableError eagerly, like ``segment``.
-        """
-        self._check_segmentable(word)
-        return self._parses(word, 0, [])
-
-    def _parses(self, word, i, acc):
-        if i == len(word):
-            yield list(acc)
-            return
-        two = word[i:i + 2]
-        if two in self.digraphs:
-            acc.append(self.grapheme(two))
-            yield from self._parses(word, i + 2, acc)
-            acc.pop()
-        acc.append(self.grapheme(word[i]))
-        yield from self._parses(word, i + 1, acc)
-        acc.pop()
-
     def _check_segmentable(self, word: str) -> None:
         if not word:
             raise ValueError("cannot segment an empty word")
@@ -214,7 +192,3 @@ def is_wolof_char(c: str) -> bool:
 
 def segment(word: str) -> list[Grapheme]:
     return _DEFAULT.segment(word)
-
-
-def segmentations(word: str) -> Iterator[list[Grapheme]]:
-    return _DEFAULT.segmentations(word)

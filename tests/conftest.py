@@ -1,10 +1,15 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from wolofspell import CostModel, TrieDict, load_sample_lexicon
 
 TESTS_DIR = pathlib.Path(__file__).parent
+
+# Selected in CI with --hypothesis-profile=ci: the same examples on every
+# run, and a failure prints the blob that replays it locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 KNOWN_MISSPELLINGS = (
     ("dadialé", "dajale"),

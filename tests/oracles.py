@@ -21,18 +21,31 @@ PAIR_COST_1 = {("a", "à"), ("a", "ã"), ("o", "ó"), ("e", "é"),
 PAIR_COST_1 |= {(b, a) for a, b in PAIR_COST_1}
 
 
-def classify(g: str) -> str:
-    for name, table in (("weak", WEAK), ("geminate", GEMINATE),
-                        ("prenasalized", PRENASALIZED),
-                        ("short", SHORT), ("long", LONG)):
+STANDARD_TABLES = {"weak": WEAK, "geminate": GEMINATE,
+                   "prenasalized": PRENASALIZED, "short": SHORT, "long": LONG}
+
+
+def classify(g: str, tables: dict[str, set[str]] = STANDARD_TABLES) -> str:
+    for name, table in tables.items():
         if g in table:
             return name
     raise AssertionError(f"not a grapheme: {g!r}")
 
 
-def enumerate_parses(word: str) -> list[list[str]] | None:
-    """All grapheme parses (digraph reading first), None on a foreign char."""
-    if not word or any(c not in CHARS for c in word):
+def _graphemes(tables: dict[str, set[str]], size: int) -> set[str]:
+    return {g for table in tables.values() for g in table if len(g) == size}
+
+
+def enumerate_parses(word: str, tables: dict[str, set[str]] = STANDARD_TABLES
+                     ) -> list[list[str]] | None:
+    """All grapheme parses (digraph reading first), None on a foreign char.
+
+    ``tables`` maps the class names ``weak``, ``geminate``, ``prenasalized``,
+    ``short`` and ``long`` to their graphemes; the default is the standard
+    Wolof inventory.
+    """
+    chars, digraphs = _graphemes(tables, 1), _graphemes(tables, 2)
+    if not word or any(c not in chars for c in word):
         return None
     parses = []
 
@@ -41,7 +54,7 @@ def enumerate_parses(word: str) -> list[list[str]] | None:
             parses.append(list(acc))
             return
         two = word[i:i + 2]
-        if two in DIGRAPHS:
+        if two in digraphs:
             rec(i + 2, acc + [two])
         rec(i + 1, acc + [word[i]])
 
@@ -49,41 +62,47 @@ def enumerate_parses(word: str) -> list[list[str]] | None:
     return parses
 
 
-def faithful_parses(word: str) -> list[list[str]] | None:
+def faithful_parses(word: str, tables: dict[str, set[str]] = STANDARD_TABLES
+                    ) -> list[list[str]] | None:
     """Parses that never read a doubled letter as two identical singles."""
-    parses = enumerate_parses(word)
+    parses = enumerate_parses(word, tables)
     if parses is None:
         return None
+    digraphs = _graphemes(tables, 2)
     kept = []
     for parse in parses:
-        if any(len(a) == 1 and a == b and a + b in DIGRAPHS
+        if any(len(a) == 1 and a == b and a + b in digraphs
                for a, b in zip(parse, parse[1:])):
             continue
         kept.append(parse)
     return kept
 
 
-def parse_rule_violations(parse: list[str]) -> list[tuple[str, int]]:
+def parse_rule_violations(parse: list[str],
+                          tables: dict[str, set[str]] = STANDARD_TABLES
+                          ) -> list[tuple[str, int]]:
     found = []
     for i, g in enumerate(parse):
-        cls = classify(g)
+        cls = classify(g, tables)
         if i == 0 and cls == "geminate":
             found.append(("INITIAL_STRONG", 0))
         elif i > 0 and cls in ("geminate", "prenasalized") \
-                and classify(parse[i - 1]) == "long":
+                and classify(parse[i - 1], tables) == "long":
             found.append(("STRONG_AFTER_LONG", i))
     return found
 
 
-def rule_check(word: str) -> tuple[bool, list[tuple[str, int]]]:
+def rule_check(word: str, tables: dict[str, set[str]] = STANDARD_TABLES
+               ) -> tuple[bool, list[tuple[str, int]]]:
     """(valid, violations-of-first-failing-parse); foreign chars -> invalid."""
-    parses = faithful_parses(word)
+    parses = faithful_parses(word, tables)
     if parses is None:
-        index = next(i for i, c in enumerate(word) if c not in CHARS)
+        chars = _graphemes(tables, 1)
+        index = next(i for i, c in enumerate(word) if c not in chars)
         return False, [("FOREIGN_CHAR", index)]
     first_failure = None
     for parse in parses:
-        violations = parse_rule_violations(parse)
+        violations = parse_rule_violations(parse, tables)
         if not violations:
             return True, []
         if first_failure is None:

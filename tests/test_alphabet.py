@@ -16,7 +16,6 @@ from wolofspell.alphabet import (
     UnsegmentableError,
     is_wolof_char,
     segment,
-    segmentations,
 )
 
 import oracles
@@ -54,6 +53,14 @@ class TestInventories:
         for table in tables:
             assert not (table & seen)
             seen |= table
+
+
+    def test_class_of(self):
+        inventory = GraphemeInventory.default()
+        assert inventory.class_of("kk") is GraphemeClass.GEMINATE_CONSONANT
+        assert inventory.class_of("ë") is GraphemeClass.SHORT_VOWEL
+        assert inventory.class_of("kt") is None
+        assert inventory.class_of("h") is None
 
 
 class TestIsWolofChar:
@@ -128,23 +135,6 @@ class TestSegment:
 
     def test_pure_function(self):
         assert segment("ginnaaw") == segment("ginnaaw")
-
-
-class TestSegmentations:
-    def test_enumeration_matches_oracle(self, sample_words):
-        rng = random.Random(11)
-        for word in rng.sample(sample_words, 60) + ["aaa", "nnna", "mbaŋŋ"]:
-            got = [[g.text for g in p] for p in segmentations(word)]
-            assert got == oracles.enumerate_parses(word)
-
-    def test_ambiguous_digraph_yields_both_readings(self):
-        parses = [[g.text for g in p] for p in segmentations("dënn")]
-        assert ["d", "ë", "nn"] in parses
-        assert ["d", "ë", "n", "n"] in parses
-
-    def test_eager_error_on_foreign_char(self):
-        with pytest.raises(UnsegmentableError):
-            segmentations("ah")
 
 
 class TestGrapheme:

@@ -1,6 +1,7 @@
 import pytest
 from click.testing import CliRunner
 
+from wolofspell import SpellChecker, WordStatus, load_sample_lexicon
 from wolofspell.cli import EXIT_ERROR, EXIT_MALFORMED, main, run
 from wolofspell.evaluation import parse_report
 
@@ -44,6 +45,14 @@ class TestCheck:
     def test_line_structure_preserved(self):
         result = invoke(["check"], input="deuk\nbi xar\n")
         assert result.stdout == "dëkk\nbi xar\n"
+
+    def test_5000_character_token(self):
+        token = "ba" * 2500
+        expected = SpellChecker(load_sample_lexicon()).check_word(token)
+        assert expected.status is WordStatus.CORRECTED
+        result = invoke(["check"], input=token + "\n")
+        assert result.exit_code == 0
+        assert result.stdout == expected.corrected + "\n"
 
     def test_missing_lexicon_exits_1(self, capsys):
         assert run(["check", "--lexicon", "/no/such/file", "-"]) == EXIT_ERROR

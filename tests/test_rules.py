@@ -1,5 +1,11 @@
+import itertools
 import random
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wolofspell.alphabet import GraphemeClass, GraphemeInventory, segment
 from wolofspell.rules import (
     FOREIGN_CHAR,
     INITIAL_STRONG,
@@ -9,6 +15,16 @@ from wolofspell.rules import (
 )
 
 import oracles
+
+# Covers every digraph class: long vowels aa/ii, prenasalized mb/nt/nk,
+# geminates mm/nn/kk/tt/bb, and ë, a vowel with no long form.
+DIGRAPH_LETTERS = "aimbntkë"
+SHORT_STRINGS = ["".join(p) for n in range(1, 6)
+                 for p in itertools.product(DIGRAPH_LETTERS, repeat=n)]
+
+
+def as_pairs(verdict):
+    return [(v.rule, v.index) for v in verdict.violations]
 
 
 class TestVerdicts:
@@ -113,6 +129,77 @@ class TestAgainstOracle:
             verdict = validate(word)
             assert verdict.valid == valid, word
             assert [(v.rule, v.index) for v in verdict.violations] == violations, word
+
+    def test_every_short_string_over_digraph_letters(self):
+        for word in SHORT_STRINGS:
+            valid, violations = oracles.rule_check(word)
+            verdict = validate(word)
+            assert verdict.valid == valid, word
+            assert as_pairs(verdict) == violations, word
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=st.text(DIGRAPH_LETTERS + "h", min_size=1, max_size=16))
+    def test_generated_strings(self, word):
+        valid, violations = oracles.rule_check(word)
+        verdict = validate(word)
+        assert verdict.valid == valid
+        assert as_pairs(verdict) == violations
+
+    def test_custom_inventory(self):
+        # Single-scalar long (o) and prenasalized (n) graphemes reach checks
+        # that no verdict over the standard inventory depends on, since its
+        # long and strong graphemes are all digraphs.
+        tables = {"weak": {"b", "m"}, "geminate": {"bb"},
+                  "prenasalized": {"mb", "n"}, "short": {"a"},
+                  "long": {"aa", "o"}}
+        names = {"weak": GraphemeClass.WEAK_CONSONANT,
+                 "geminate": GraphemeClass.GEMINATE_CONSONANT,
+                 "prenasalized": GraphemeClass.PRENASALIZED_CONSONANT,
+                 "short": GraphemeClass.SHORT_VOWEL,
+                 "long": GraphemeClass.LONG_VOWEL}
+        inventory = GraphemeInventory(
+            {names[name]: frozenset(texts) for name, texts in tables.items()})
+        assert not validate("bba", inventory).valid
+        assert validate("aamba", inventory).valid
+        for n in range(1, 6):
+            for letters in itertools.product("abmnok", repeat=n):
+                word = "".join(letters)
+                valid, violations = oracles.rule_check(word, tables)
+                verdict = validate(word, inventory)
+                assert verdict.valid == valid, word
+                assert as_pairs(verdict) == violations, word
+
+
+class TestGreedyParse:
+    def test_greedy_parse_is_the_first_faithful_parse(self):
+        # The verdict reports the greedy parse's violations as those of the
+        # first failing faithful parse; that needs greedy to be faithful.
+        for word in SHORT_STRINGS:
+            expected = oracles.faithful_parses(word)[0]
+            assert [g.text for g in segment(word)] == expected, word
+
+
+class TestLongInputs:
+    @pytest.mark.parametrize("pairs", [16, 2000])
+    def test_adversarial_digraph_run(self, pairs):
+        # Every faithful parse starts with the geminate pp, but each "mb"
+        # doubles the number of parses an enumeration would try.
+        start = time.perf_counter()
+        verdict = validate("ppa" + "mb" * pairs)
+        assert time.perf_counter() - start < 0.5
+        assert verdict == validate("ppa")
+        assert verdict.violations == (Violation(INITIAL_STRONG, 0),)
+
+    def test_long_valid_word(self):
+        assert validate("ba" * 2500).valid
+
+    def test_long_word_valid_only_through_a_split_digraph(self):
+        # Greedy reads aa|mb and fails; reading m+b saves every block.
+        assert validate("jaambaar" * 1000).valid
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError):
+            validate("")
 
 
 class TestDeterminism:
