@@ -16,17 +16,6 @@ from .alphabet import (
     segment,
 )
 from .distance import CostModel, plain_edit_distance, weighted_levenshtein
-from .evaluation import (
-    ConfusionCounts,
-    CorpusEntry,
-    EmptyCorpusError,
-    EvalReport,
-    MalformedCorpusError,
-    compute_metrics,
-    evaluate,
-    histogram,
-    load_corpus,
-)
 from .lexicon import MalformedLexiconError, TrieDict, load
 from .pipeline import CheckReport, FlaggedBy, SpellChecker, WordResult, WordStatus
 from .preprocess import Token, normalize, strip_punctuation, tokenize
@@ -35,6 +24,21 @@ from .suggest import EmptyLexiconError, Suggestion, SuggestionList, best, sugges
 from .translit import RuleSet, TranslitRule, transform
 
 __version__ = "0.1.0"
+
+# Re-exported from ``evaluation`` on first access, so that checking text
+# (the CLI's ``check`` included) never pays for importing the harness.
+_EVALUATION_NAMES = frozenset({
+    "ConfusionCounts", "CorpusEntry", "EmptyCorpusError", "EvalReport",
+    "MalformedCorpusError", "compute_metrics", "evaluate", "histogram",
+    "load_corpus",
+})
+
+
+def __getattr__(name):
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sample_lexicon_path():

@@ -57,11 +57,6 @@ STRONG_CLASSES = frozenset({
     GraphemeClass.PRENASALIZED_CONSONANT,
 })
 
-VOWEL_CLASSES = frozenset({
-    GraphemeClass.SHORT_VOWEL,
-    GraphemeClass.LONG_VOWEL,
-})
-
 
 class UnsegmentableError(ValueError):
     """Raised when a word contains a scalar outside the Wolof alphabet."""
@@ -81,10 +76,6 @@ class Grapheme:
     @property
     def is_strong(self) -> bool:
         return self.cls in STRONG_CLASSES
-
-    @property
-    def is_vowel(self) -> bool:
-        return self.cls in VOWEL_CLASSES
 
     def __str__(self) -> str:
         return self.text

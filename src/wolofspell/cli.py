@@ -19,13 +19,6 @@ from click.core import ParameterSource
 from . import load_sample_lexicon
 from .alphabet import UnsegmentableError, default_inventory
 from .distance import CostModel, default_cost_model
-from .evaluation import (
-    MalformedCorpusError,
-    evaluate,
-    format_report,
-    format_report_structured,
-    load_corpus,
-)
 from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
 from .preprocess import load_exclusion_list, normalize
@@ -192,6 +185,13 @@ def suggest(ctx, word, **_kwargs):
 @click.pass_context
 def eval_cmd(ctx, corpus, **_kwargs):
     """Score the checker against a labeled corpus TSV file."""
+    from .evaluation import (
+        evaluate,
+        format_report,
+        format_report_structured,
+        load_corpus,
+    )
+
     checker, fmt = _build_config(ctx)
     entries = load_corpus(corpus)
     report = evaluate(entries, checker)
@@ -231,7 +231,7 @@ def run(argv=None) -> int:
     try:
         main.main(args=argv, standalone_mode=False)
         return EXIT_OK
-    except (MalformedLexiconError, MalformedCorpusError) as err:
+    except MalformedLexiconError as err:
         click.echo(f"error: {err}", err=True)
         return EXIT_MALFORMED
     except click.ClickException as err:
@@ -241,7 +241,14 @@ def run(argv=None) -> int:
         return EXIT_ERROR
     except (OSError, EmptyLexiconError, ValueError) as err:
         click.echo(f"error: {err}", err=True)
-        return EXIT_ERROR
+        return EXIT_MALFORMED if _is_malformed_corpus(err) else EXIT_ERROR
+
+
+def _is_malformed_corpus(err: Exception) -> bool:
+    # Only ``eval`` imports the evaluation module, and only it can raise
+    # MalformedCorpusError; other commands never load the module.
+    evaluation = sys.modules.get(f"{__package__}.evaluation")
+    return evaluation is not None and isinstance(err, evaluation.MalformedCorpusError)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
-"""End-to-end checking: preprocess, validate, look up, transform, suggest.
+"""End-to-end checking: preprocess, look up, validate, transform, suggest.
 
-Per token the flow is: phonotactic validation first, lexicon lookup second.
-A token failing validation goes straight to correction and is never looked
-up.  A token failing either check is transformed (French compound sounds
-rewritten, foreign letters removed) and the transformed form queries the
-suggestion engine; the top-ranked candidate becomes the correction.  Tokens
-containing digits, and tokens on the exclusion list, are dropped: reported,
-but excluded from correction and from the reassembled text.
+Per token the flow is: lexicon lookup first, phonotactic validation second.
+A lexicon word is correct only when it also obeys the writing rules; its
+rules verdict is computed once per checker and remembered, since it depends
+on nothing but the word.  A word missing from the lexicon is validated to
+tell which gate flags it: the rules when it breaks them, the lexicon
+otherwise.  A token flagged by either gate is transformed (French compound
+sounds rewritten, foreign letters removed) and the transformed form queries
+the suggestion engine; the top-ranked candidate becomes the correction.
+Tokens containing digits, and tokens on the exclusion list, are dropped:
+reported, but excluded from correction and from the reassembled text.
 
 ``SpellChecker`` holds the configuration (lexicon, cost model, rules, k,
 cost cap, exclusion list) and is the one entry point for checking a word
@@ -75,6 +78,9 @@ class SpellChecker:
         self.k = k
         self.max_cost = max_cost
         self.exclude = exclude or frozenset()
+        # rules verdicts of lexicon words seen so far; never more entries
+        # than the lexicon has words
+        self._lexicon_verdicts: dict[str, bool] = {}
 
     def check_word(self, word: str, position: int = 0) -> WordResult:
         """Run one normalized token through detection and correction."""
@@ -84,13 +90,17 @@ class SpellChecker:
         if preprocess.contains_digit(word) or word in self.exclude:
             return WordResult(token, WordStatus.DROPPED)
 
-        verdict = rules.validate(word)
-        if verdict.valid:
-            if self.lexicon.contains(word):
+        if self.lexicon.contains(word):
+            valid = self._lexicon_verdicts.get(word)
+            if valid is None:
+                valid = self._lexicon_verdicts[word] = rules.validate(word).valid
+            if valid:
                 return WordResult(token, WordStatus.CORRECT)
+            # A lexicon word that breaks the rules is still flagged by them.
+            flagged = FlaggedBy.RULES
+        elif rules.validate(word).valid:
             flagged = FlaggedBy.LEXICON
         else:
-            # Failing the rules skips the lexicon lookup entirely.
             flagged = FlaggedBy.RULES
 
         query = transform(word, self.translit_rules)

@@ -31,7 +31,8 @@ def normalize(text: str) -> str:
 
 
 def contains_digit(word: str) -> bool:
-    return any(c.isdigit() for c in word)
+    # no alphabetic code point is a digit, so the common case skips the scan
+    return not word.isalpha() and any(c.isdigit() for c in word)
 
 
 def tokenize(text: str, exclude: frozenset[str] | set[str] | None = None) -> list[Token]:

@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
+import wolofspell
 from wolofspell import SpellChecker, WordStatus, load_sample_lexicon
 from wolofspell.cli import EXIT_ERROR, EXIT_MALFORMED, main, run
 from wolofspell.evaluation import parse_report
@@ -9,6 +15,15 @@ from wolofspell.evaluation import parse_report
 def invoke(args, input=None, env=None):
     return CliRunner().invoke(main, args, input=input, env=env,
                               catch_exceptions=False)
+
+
+def fresh_python(*args, input=None):
+    """Run ``python *args`` in a new interpreter that imports this package."""
+    src = str(pathlib.Path(wolofspell.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], input=input, env=env,
+                          capture_output=True, encoding="utf-8", timeout=60)
 
 
 class TestCheck:
@@ -128,6 +143,24 @@ class TestEval:
 
     def test_missing_file_exits_1(self, capsys):
         assert run(["eval", "/no/such/corpus.tsv"]) == EXIT_ERROR
+
+    def test_malformed_corpus_exits_2_in_fresh_process(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("deuk\tinvalid\n", encoding="utf-8")
+        proc = fresh_python("-m", "wolofspell.cli", "eval", str(path))
+        assert proc.returncode == EXIT_MALFORMED
+        assert proc.stderr.startswith(f"error: {path}:1")
+
+
+class TestColdStart:
+    def test_import_and_check_skip_evaluation(self):
+        proc = fresh_python(
+            "-c", "import sys, wolofspell.cli; "
+            "loaded = lambda: 'wolofspell.evaluation' in sys.modules; "
+            "print(loaded()); code = wolofspell.cli.run(['check']); "
+            "print(code, loaded())",
+            input="deuk bi\n")
+        assert proc.stdout == "False\ndëkk bi\n0 False\n", proc.stderr
 
 
 class TestLexiconStats:

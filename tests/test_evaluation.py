@@ -208,3 +208,27 @@ class TestReportFormats:
                       "Predictive accuracy", "Suggestion adequacy",
                       "Mean reciprocal rank", "Edit distance histogram"):
             assert label in text
+
+
+class TestPackageReexports:
+    NAMES = ("ConfusionCounts", "CorpusEntry", "EmptyCorpusError",
+             "EvalReport", "MalformedCorpusError", "compute_metrics",
+             "evaluate", "histogram", "load_corpus")
+
+    def test_names_resolve_to_evaluation_module(self):
+        import wolofspell
+        from wolofspell import evaluation
+
+        for name in self.NAMES:
+            assert getattr(wolofspell, name) is getattr(evaluation, name), name
+
+    def test_from_import(self):
+        from wolofspell import MalformedCorpusError as imported
+
+        assert imported is MalformedCorpusError
+
+    def test_unknown_name_raises_attribute_error(self):
+        import wolofspell
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            wolofspell.no_such_name

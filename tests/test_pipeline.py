@@ -1,10 +1,48 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wolofspell import rules
 from wolofspell.lexicon import TrieDict
 from wolofspell.pipeline import FlaggedBy, SpellChecker, WordStatus
 from wolofspell.suggest import EmptyLexiconError
 
+import oracles
 from conftest import KNOWN_MISSPELLINGS
+
+# Lexicon members include words that break the rules: an initial geminate
+# (kkaa), a geminate after a long vowel (ooppa, saakk) and a foreign letter
+# (thiossane).  "bonjour" is a member and also excluded.
+GATE_LEXICON = ("dëkk", "bi", "xar", "am", "musiba", "ñoppati", "saxaar",
+                "ndaw", "mbaam", "kkaa", "ooppa", "saakk", "thiossane",
+                "bonjour")
+GATE_EXCLUDE = frozenset({"bonjour", "salut"})
+FLAGGED = (WordStatus.CORRECTED, WordStatus.NO_SUGGESTION)
+
+
+def expected_gate(word: str) -> tuple[WordStatus | None, FlaggedBy | None]:
+    """(status, flagged_by) from the oracle's rules check plus membership;
+    a status of None means flagged, so CORRECTED or NO_SUGGESTION."""
+    if any(c.isdigit() for c in word) or word in GATE_EXCLUDE:
+        return WordStatus.DROPPED, None
+    valid, _ = oracles.rule_check(word)
+    if not valid:
+        return None, FlaggedBy.RULES
+    if word not in GATE_LEXICON:
+        return None, FlaggedBy.LEXICON
+    return WordStatus.CORRECT, None
+
+
+def assert_gate(result) -> None:
+    status, flagged_by = expected_gate(result.original.surface)
+    assert result.flagged_by is flagged_by, result
+    if status is None:
+        assert result.status in FLAGGED, result
+    else:
+        assert result.status is status, result
+
+
+def gate_checker() -> SpellChecker:
+    return SpellChecker(TrieDict(GATE_LEXICON), exclude=GATE_EXCLUDE)
 
 
 class TestCheckWord:
@@ -46,7 +84,7 @@ class TestCheckWord:
 
     def test_rule_failure_bypasses_lexicon(self):
         # "saakk" breaks the long-vowel rule; even as a lexicon member it
-        # must be flagged, because the rules edge skips the lexicon lookup.
+        # must be flagged, and by the rules gate, not the lexicon.
         trie = TrieDict(["saakk", "sakk"])
         result = SpellChecker(trie).check_word("saakk")
         assert result.status is not WordStatus.CORRECT
@@ -131,3 +169,56 @@ class TestCheckText:
                    for r in report.results)
         for word in report.corrected_text.split():
             assert sample_lexicon.contains(word)
+
+
+class TestGateOrder:
+    """The lexicon is consulted first and each member's rules verdict is
+    remembered; every result must still be what the oracle predicts."""
+
+    WORDS = GATE_LEXICON + (
+        "kka", "saak", "deuk", "mousiba", "gnopati", "ooppaa", "kkaakk",
+        "ñaar", "xar3", "12", "salut", "hvh", "nd", "mbaamm")
+
+    def test_first_and_cached_sighting_match_oracle(self):
+        checker = gate_checker()
+        for word in self.WORDS:
+            first = checker.check_word(word)
+            again = checker.check_word(word)
+            assert_gate(first)
+            assert again == first, word
+
+    def test_member_validated_once_per_checker(self, monkeypatch):
+        seen = []
+        validate = rules.validate
+
+        def counting(word, *args, **kwargs):
+            seen.append(word)
+            return validate(word, *args, **kwargs)
+
+        monkeypatch.setattr(rules, "validate", counting)
+        checker = gate_checker()
+        for _ in range(3):
+            for word in ("dëkk", "kkaa", "deuk"):
+                checker.check_word(word)
+        # members once each; a non-member is validated on every sighting
+        assert sorted(seen) == ["deuk"] * 3 + ["dëkk", "kkaa"]
+        gate_checker().check_word("dëkk")
+        assert seen.count("dëkk") == 2
+
+    # Lexicon words (repeats included), Wolof-letter strings, and strings
+    # mixing Wolof, digit and foreign letters.
+    TOKENS = st.one_of(
+        st.sampled_from(GATE_LEXICON),
+        st.text("abdegiklmnoprstuxyëéñŋ", min_size=1, max_size=7),
+        st.text("akmpoë019hvz", min_size=1, max_size=6),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(st.lists(TOKENS, max_size=6), max_size=4))
+    def test_check_text_matches_oracle(self, lines):
+        report = gate_checker().check_text(
+            "\n".join(" ".join(line) for line in lines))
+        words = [word for line in lines for word in line]
+        assert [r.original.surface for r in report.results] == words
+        for result in report.results:
+            assert_gate(result)

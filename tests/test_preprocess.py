@@ -1,8 +1,12 @@
 import random
 import string
+import sys
+
+from hypothesis import given, settings, strategies as st
 
 from wolofspell.preprocess import (
     Token,
+    contains_digit,
     load_exclusion_list,
     normalize,
     strip_punctuation,
@@ -94,3 +98,16 @@ class TestExclusionList:
                         encoding="utf-8")
         words = load_exclusion_list(path)
         assert words == {"bonjour", "merci"}
+
+
+class TestContainsDigit:
+    def test_every_code_point(self):
+        wrong = [hex(cp) for cp in range(sys.maxunicode + 1)
+                 if contains_digit(chr(cp)) != chr(cp).isdigit()]
+        assert wrong == []
+
+    @settings(max_examples=300)
+    @given(word=st.text(st.one_of(st.characters(),
+                                  st.characters(categories=("Nd", "No")))))
+    def test_matches_scan(self, word):
+        assert contains_digit(word) == any(c.isdigit() for c in word)
