@@ -18,7 +18,7 @@ from .alphabet import (
 from .distance import CostModel, plain_edit_distance, weighted_levenshtein
 from .lexicon import MalformedLexiconError, TrieDict, load
 from .pipeline import CheckReport, FlaggedBy, SpellChecker, WordResult, WordStatus
-from .preprocess import Token, normalize, strip_punctuation, tokenize
+from .preprocess import Token, normalize, strip_punctuation
 from .rules import RuleVerdict, Violation, validate
 from .suggest import EmptyLexiconError, Suggestion, SuggestionList, best, suggest
 from .translit import RuleSet, TranslitRule, transform

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .preprocess import normalize
+from .preprocess import normalize, numbered_lines
 
 
 DEFAULT_SUBSTITUTION_PAIRS = (
@@ -69,28 +69,27 @@ class CostModel:
         NFC-composed like tokens, and each must then be a single scalar.
         """
         pairs = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected char1<TAB>char2<TAB>cost")
-                a, b = normalize(parts[0]), normalize(parts[1])
-                if len(a) != 1 or len(b) != 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: {a!r} and {b!r} must be one "
-                        f"character each")
-                try:
-                    cost = int(parts[2])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: cost {parts[2]!r} is "
-                                     f"not an integer") from None
-                if cost < 0:
-                    raise ValueError(f"{path}:{lineno}: negative cost")
-                pairs.append((a, b, cost))
+        for lineno, line in numbered_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected char1<TAB>char2<TAB>cost")
+            a, b = normalize(parts[0]), normalize(parts[1])
+            if len(a) != 1 or len(b) != 1:
+                raise ValueError(
+                    f"{path}:{lineno}: {a!r} and {b!r} must be one "
+                    f"character each")
+            try:
+                cost = int(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cost {parts[2]!r} is "
+                                 f"not an integer") from None
+            if cost < 0:
+                raise ValueError(f"{path}:{lineno}: negative cost")
+            pairs.append((a, b, cost))
         return cls(substitution_overrides=_symmetric(pairs))
 
 

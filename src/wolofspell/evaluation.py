@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .distance import plain_edit_distance
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import normalize
+from .preprocess import normalize, numbered_lines
 
 
 class MalformedCorpusError(ValueError):
@@ -103,34 +103,33 @@ def compute_metrics(counts: ConfusionCounts) -> DetectionMetrics:
 def load_corpus(path) -> list[CorpusEntry]:
     """Parse a corpus TSV file into entries."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            where = f"{path}:{lineno}"
-            if len(parts) > 3:
-                raise MalformedCorpusError(f"{where}: extra columns")
-            if len(parts) < 2:
-                raise MalformedCorpusError(f"{where}: missing label column")
-            word = normalize(parts[0].strip())
-            if not word:
-                raise MalformedCorpusError(f"{where}: empty word")
-            label = parts[1].strip().lower()
-            if label not in ("valid", "invalid"):
-                raise MalformedCorpusError(f"{where}: unknown label {label!r}")
-            if label == "valid":
-                if len(parts) == 3 and parts[2].strip():
-                    raise MalformedCorpusError(f"{where}: gold on a valid row")
-                entries.append(CorpusEntry(word, valid=True))
-            else:
-                if len(parts) < 3 or not parts[2].strip():
-                    raise MalformedCorpusError(f"{where}: invalid row missing gold")
-                gold = normalize(parts[2].strip())
-                if gold == word:
-                    raise MalformedCorpusError(f"{where}: gold equals the word")
-                entries.append(CorpusEntry(word, valid=False, gold=gold))
+    for lineno, line in numbered_lines(path, MalformedCorpusError):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        where = f"{path}:{lineno}"
+        if len(parts) > 3:
+            raise MalformedCorpusError(f"{where}: extra columns")
+        if len(parts) < 2:
+            raise MalformedCorpusError(f"{where}: missing label column")
+        word = normalize(parts[0].strip())
+        if not word:
+            raise MalformedCorpusError(f"{where}: empty word")
+        label = parts[1].strip().lower()
+        if label not in ("valid", "invalid"):
+            raise MalformedCorpusError(f"{where}: unknown label {label!r}")
+        if label == "valid":
+            if len(parts) == 3 and parts[2].strip():
+                raise MalformedCorpusError(f"{where}: gold on a valid row")
+            entries.append(CorpusEntry(word, valid=True))
+        else:
+            if len(parts) < 3 or not parts[2].strip():
+                raise MalformedCorpusError(f"{where}: invalid row missing gold")
+            gold = normalize(parts[2].strip())
+            if gold == word:
+                raise MalformedCorpusError(f"{where}: gold equals the word")
+            entries.append(CorpusEntry(word, valid=False, gold=gold))
     return entries
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Iterator
 
-from .preprocess import normalize
+from .preprocess import normalize, numbered_lines
 
 
 class MalformedLexiconError(ValueError):
@@ -121,14 +121,13 @@ def load(path) -> TrieDict:
     """Load a lexicon file into a TrieDict.
 
     Raises MalformedLexiconError, naming ``path:line``, on a word with
-    internal whitespace or a digit, and the usual OSError when the file
-    cannot be read.
+    internal whitespace or a digit, naming ``path`` when the file is not
+    UTF-8, and the usual OSError when the file cannot be read.
     """
     trie = TrieDict()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            trie._insert(word, where=f"{path}:{lineno}")
+    for lineno, line in numbered_lines(path, MalformedLexiconError):
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        trie._insert(word, where=f"{path}:{lineno}")
     return trie

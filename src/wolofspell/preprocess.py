@@ -1,10 +1,11 @@
-"""Input cleaning: punctuation removal, normalization, word tokenization.
+"""Input cleaning: punctuation removal, normalization, input files.
 
 Raw text goes through three steps before detection: every punctuation mark
 is replaced by a space, the text is lowercased and NFC-composed, and the
-result is split into tokens.  Tokens containing digits are dropped.  An
-optional exclusion list (for filtering known foreign words) can drop further
-tokens; it is off unless a list is supplied.
+result is split on whitespace into tokens (``SpellChecker.check_text`` does
+the split).  Tokens containing digits are dropped.  An optional exclusion
+list (for filtering known foreign words) can drop further tokens; it is off
+unless a list is supplied.
 """
 
 from __future__ import annotations
@@ -35,28 +36,23 @@ def contains_digit(word: str) -> bool:
     return not word.isalpha() and any(c.isdigit() for c in word)
 
 
-def tokenize(text: str, exclude: frozenset[str] | set[str] | None = None) -> list[Token]:
-    """Split punctuation-stripped, normalized text into tokens.
+def numbered_lines(path, error=ValueError):
+    """``(line number, line)`` pairs of a UTF-8 text file, numbered from 1.
 
-    Splits on whitespace runs; tokens containing a digit, and tokens on the
-    exclusion list, are dropped.  Positions number the kept tokens 0-based.
+    Bytes that are not UTF-8 raise ``error`` naming the path.
     """
-    tokens = []
-    for word in text.split():
-        if contains_digit(word):
-            continue
-        if exclude and word in exclude:
-            continue
-        tokens.append(Token(word, len(tokens)))
-    return tokens
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as err:
+            raise error(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def load_exclusion_list(path) -> frozenset[str]:
     """Read an exclusion list: one word per line, ``#`` comments, UTF-8."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(normalize(word))
+    for _, line in numbered_lines(path):
+        word = line.split("#", 1)[0].strip()
+        if word:
+            words.add(normalize(word))
     return frozenset(words)

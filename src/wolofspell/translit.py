@@ -10,7 +10,8 @@ deleted.  Letter elimination has to come after rule application: patterns
 like "kh" and "th" contain letters that elimination would destroy.
 
 Rules live in a TSV file (``pattern<TAB>replacement<TAB>priority``, lower
-priority fires first, empty replacement deletes the pattern); the bundled
+priority fires first, empty replacement deletes the pattern); patterns and
+replacements are lowercased and NFC-composed like tokens.  The bundled
 default set is a starting point meant to be extended.
 """
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .alphabet import GraphemeClass, GraphemeInventory, default_inventory
+from .preprocess import normalize, numbered_lines
 
 MAX_PATTERN_LEN = 4
 
@@ -55,19 +57,23 @@ class RuleSet:
     @classmethod
     def from_file(cls, path) -> "RuleSet":
         rules = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected pattern<TAB>replacement<TAB>priority")
-                pattern, replacement, priority = parts
-                if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
-                    raise ValueError(f"{path}:{lineno}: pattern length out of range")
-                rules.append(TranslitRule(pattern, replacement, int(priority)))
+        for lineno, line in numbered_lines(path):
+            line = line.split("#", 1)[0].rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected pattern<TAB>replacement<TAB>priority")
+            pattern, replacement = normalize(parts[0]), normalize(parts[1])
+            if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
+                raise ValueError(f"{path}:{lineno}: pattern length out of range")
+            try:
+                priority = int(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: priority {parts[2]!r} is "
+                                 f"not an integer") from None
+            rules.append(TranslitRule(pattern, replacement, priority))
         return cls(rules)
 
     @classmethod

@@ -1,16 +1,16 @@
 import random
+import re
 import string
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wolofspell.preprocess import (
-    Token,
     contains_digit,
     load_exclusion_list,
     normalize,
     strip_punctuation,
-    tokenize,
 )
 
 
@@ -56,41 +56,6 @@ class TestNormalize:
             assert normalize(once) == once
 
 
-class TestTokenize:
-    def test_whitespace_split(self):
-        assert tokenize("dëkk bi") == [Token("dëkk", 0), Token("bi", 1)]
-
-    def test_digit_tokens_dropped(self):
-        assert tokenize("am 3 xar") == [Token("am", 0), Token("xar", 1)]
-        assert tokenize("xyz123 bi") == [Token("bi", 0)]
-
-    def test_empty(self):
-        assert tokenize("") == []
-
-    def test_positions_consecutive_over_kept(self):
-        tokens = tokenize("a 1 b 2 c")
-        assert [t.position for t in tokens] == [0, 1, 2]
-        assert [t.surface for t in tokens] == ["a", "b", "c"]
-
-    def test_no_digits_or_whitespace_in_output(self):
-        rng = random.Random(5)
-        pool = "ab ë 12\t\n"
-        for _ in range(200):
-            text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
-            for token in tokenize(text):
-                assert token.surface
-                assert not any(c.isspace() for c in token.surface)
-                assert not any(c.isdigit() for c in token.surface)
-
-    def test_order_preserved(self):
-        surfaces = [t.surface for t in tokenize("dem na ca kaw")]
-        assert surfaces == ["dem", "na", "ca", "kaw"]
-
-    def test_exclusion_list(self):
-        kept = tokenize("bonjour dëkk", exclude={"bonjour"})
-        assert kept == [Token("dëkk", 0)]
-
-
 class TestExclusionList:
     def test_load(self, tmp_path):
         path = tmp_path / "exclude.txt"
@@ -98,6 +63,14 @@ class TestExclusionList:
                         encoding="utf-8")
         words = load_exclusion_list(path)
         assert words == {"bonjour", "merci"}
+
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "exclude.txt"
+        path.write_bytes("Bonjour\ncafé\n".encode("latin-1"))
+        with pytest.raises(ValueError, match="not UTF-8"):
+            load_exclusion_list(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_exclusion_list(path)
 
 
 class TestContainsDigit:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -105,6 +106,19 @@ class TestRuleSet:
         path.write_text("ou\tu\n", encoding="utf-8")
         with pytest.raises(ValueError):
             RuleSet.from_file(path)
+
+    def test_non_integer_priority_names_line(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("h\t\t10\nou\tu\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: priority 'x'")):
+            RuleSet.from_file(path)
+
+    def test_rules_normalized_like_tokens(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("OU\tU\t10\n", encoding="utf-8")
+        rules = RuleSet.from_file(path)
+        assert [(r.pattern, r.replacement) for r in rules.rules] == [("ou", "u")]
+        assert transform("mousiba", rules) == "musiba"
 
     def test_default_rules_load(self):
         rules = RuleSet.default()
