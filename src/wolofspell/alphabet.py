@@ -12,8 +12,8 @@ cuts a word into graphemes by greedy longest match.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class GraphemeClass(Enum):
@@ -83,8 +83,7 @@ class UnsegmentableError(ValueError):
                          f"non-Wolof character {word[index]!r} at index {index}")
 
 
-@dataclass(frozen=True)
-class Grapheme:
+class Grapheme(NamedTuple):
     text: str
     cls: GraphemeClass
 

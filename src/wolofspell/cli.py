@@ -8,7 +8,8 @@ checked the same way, and a bad value is reported with its source.  The
 bundled sample lexicon is the default dictionary.
 
 Exit codes: 0 success, 1 usage, I/O or configuration error, 2 malformed
-lexicon or corpus file.
+lexicon or corpus file (a lexicon with no words is malformed for every
+command but ``lexicon-stats``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ _SETTINGS = {
     "exclude": ("--exclude", str, None, "PATH", "Exclusion list of words to drop."),
     "k": ("-k", lambda text: _integer(text, least=1), 10, "N",
           "Suggestion list depth (default: 10)."),
-    "max_cost": ("--max-cost", _integer, None, "C", "Drop candidates above this edit cost."),
+    "max_cost": ("--max-cost", lambda text: _integer(text, least=0), None, "C",
+                 "Drop candidates above this edit cost."),
     "format": ("--format", _output_format, "text", "{text,structured}",
                "Output style for diagnostics and reports (default: text)."),
 }
@@ -102,9 +104,12 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _build_checker(s: dict) -> SpellChecker:
+def _build_checker(s: dict, need_words: bool) -> SpellChecker:
+    lexicon = load_lexicon(s["lexicon"]) if s["lexicon"] else load_sample_lexicon()
+    if need_words and not lexicon.word_count:
+        raise MalformedLexiconError(f"{s['lexicon']}: lexicon has no words")
     return SpellChecker(
-        load_lexicon(s["lexicon"]) if s["lexicon"] else load_sample_lexicon(),
+        lexicon,
         CostModel.from_file(s["costs"]) if s["costs"] else default_cost_model(),
         RuleSet.from_file(s["translit"]) if s["translit"] else None,
         s["k"], s["max_cost"],
@@ -240,7 +245,8 @@ def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         settings = _resolve_settings(args)
-        return args.command(args, _build_checker(settings), settings["format"])
+        checker = _build_checker(settings, need_words=args.command is not lexicon_stats)
+        return args.command(args, checker, settings["format"])
     except SystemExit as done:  # --help
         return done.code
     except (OSError, ValueError) as err:

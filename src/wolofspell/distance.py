@@ -15,7 +15,7 @@ unit-cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .preprocess import normalize, numbered_lines
 
@@ -40,14 +40,16 @@ def _symmetric(pairs) -> dict[tuple[str, str], int]:
     return table
 
 
-@dataclass(frozen=True)
-class CostModel:
+# Shared by every model built with the default overrides; never mutated.
+_DEFAULT_OVERRIDES = _symmetric(DEFAULT_SUBSTITUTION_PAIRS)
+
+
+class CostModel(NamedTuple):
     """Insert/delete/substitute costs; the default model is the table above."""
 
     insert: int = 1
     delete: int = 1
-    substitution_overrides: dict[tuple[str, str], int] = field(
-        default_factory=lambda: _symmetric(DEFAULT_SUBSTITUTION_PAIRS))
+    substitution_overrides: dict[tuple[str, str], int] = _DEFAULT_OVERRIDES
     mismatch: int = 2
 
     def substitute_cost(self, a: str, b: str) -> int:

@@ -35,6 +35,7 @@ class EmptyCorpusError(ValueError):
     """Evaluation needs at least one entry."""
 
 
+# The evaluation records stay dataclasses: vars() reads a DetectionMetrics' fields.
 @dataclass(frozen=True)
 class CorpusEntry:
     word: str

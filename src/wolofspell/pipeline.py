@@ -18,8 +18,8 @@ or a text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import preprocess, rules
 from .distance import CostModel, default_cost_model
@@ -41,8 +41,7 @@ class FlaggedBy(Enum):
     LEXICON = "lexicon"
 
 
-@dataclass(frozen=True)
-class WordResult:
+class WordResult(NamedTuple):
     original: Token
     status: WordStatus
     corrected: str | None = None
@@ -59,8 +58,7 @@ class WordResult:
         return self.original.surface
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     results: tuple[WordResult, ...]
     corrected_text: str
 
@@ -72,6 +70,10 @@ class SpellChecker:
                  translit_rules: RuleSet | None = None, k: int = 10,
                  max_cost: int | None = None,
                  exclude: frozenset[str] | None = None):
+        if k < 1:
+            raise ValueError("k must be positive")
+        if max_cost is not None and max_cost < 0:
+            raise ValueError("max_cost must not be negative")
         self.lexicon = lexicon
         self.model = model or default_cost_model()
         self.translit_rules = translit_rules

@@ -11,11 +11,10 @@ unless a list is supplied.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     position: int
 

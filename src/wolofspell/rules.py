@@ -32,7 +32,7 @@ parse in digraph-first order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .alphabet import (
     DIGRAPHS,
@@ -52,16 +52,14 @@ _PRENASALIZED = GraphemeClass.PRENASALIZED_CONSONANT
 _LONG = GraphemeClass.LONG_VOWEL
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     index: int  # grapheme index (scalar index for FOREIGN_CHAR)
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     valid: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    violations: tuple[Violation, ...] = ()
 
 
 _VALID = RuleVerdict(True)

@@ -36,6 +36,7 @@ import bisect
 import sys
 from dataclasses import dataclass, field
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .distance import CostModel, default_cost_model
 from .lexicon import TrieDict
@@ -48,12 +49,12 @@ class EmptyLexiconError(ValueError):
     """Suggestions requested against a lexicon with no words."""
 
 
-@dataclass(frozen=True)
-class Suggestion:
+class Suggestion(NamedTuple):
     word: str
     cost: int
 
 
+# A dataclass, not a NamedTuple: it is mutable and dataclasses.replace rebuilds it.
 @dataclass
 class SuggestionList:
     items: list[Suggestion]
@@ -92,6 +93,8 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         raise EmptyLexiconError("the lexicon has no words")
     if k < 1:
         raise ValueError("k must be positive")
+    if max_cost is not None and max_cost < 0:
+        raise ValueError("max_cost must not be negative")
     model = model or default_cost_model()
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     n = len(query)

@@ -17,8 +17,8 @@ default set is a starting point meant to be extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .alphabet import WEAK_CONSONANTS, WOLOF_CHARS
 from .preprocess import normalize, numbered_lines
@@ -26,8 +26,7 @@ from .preprocess import normalize, numbered_lines
 MAX_PATTERN_LEN = 4
 
 
-@dataclass(frozen=True)
-class TranslitRule:
+class TranslitRule(NamedTuple):
     pattern: str
     replacement: str
     priority: int = 10

@@ -247,6 +247,16 @@ class TestColdStart:
             input="deuk bi\n")
         assert proc.stdout == "False\ndëkk bi\n0 False\n", proc.stderr
 
+    def test_import_builds_one_dataclass(self):
+        # the records are named tuples; only SuggestionList runs the decorator
+        proc = fresh_python(
+            "-c", "import dataclasses, inspect, sys, wolofspell.cli; "
+            "print([c.__name__ for name, m in list(sys.modules.items()) "
+            "if name.startswith('wolofspell') "
+            "for c in vars(m).values() if inspect.isclass(c) "
+            "and c.__module__ == name and dataclasses.is_dataclass(c)])")
+        assert proc.stdout == "['SuggestionList']\n", proc.stderr
+
 
 class TestLexiconStats:
     def test_reports_word_count(self, invoke, tmp_path):
@@ -271,6 +281,18 @@ class TestLexiconStats:
         lex.write_text("", encoding="utf-8")
         result = invoke(["lexicon-stats", "--lexicon", str(lex)])
         assert "words\t0" in result.stdout
+
+    # the input named after the lexicon does not exist: it must not be read
+    @pytest.mark.parametrize("args", [["check", "/no/such/input"],
+                                      ["suggest", "deuk"],
+                                      ["eval", "/no/such/corpus"]])
+    def test_lexicon_without_words_exits_2_first(self, invoke, tmp_path, args):
+        lex = tmp_path / "lex.txt"
+        lex.write_text("# no words\n\n", encoding="utf-8")
+        result = invoke(args[:1] + ["--lexicon", str(lex)] + args[1:])
+        assert result.exit_code == EXIT_MALFORMED
+        assert result.stdout == ""
+        assert result.stderr == f"error: {lex}: lexicon has no words\n"
 
     def test_malformed_exits_2(self, tmp_path):
         lex = tmp_path / "lex.txt"
@@ -325,6 +347,7 @@ class TestConfigResolution:
         ("-k", "k", "x"),
         ("-k", "k", "0"),
         ("--max-cost", "max_cost", "x"),
+        ("--max-cost", "max_cost", "-1"),
         ("--format", "format", "xml"),
     ])
     def test_bad_setting_names_its_source(self, invoke, tmp_path, source,

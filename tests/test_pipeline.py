@@ -110,6 +110,15 @@ class TestCheckWord:
         with pytest.raises(ValueError, match="word must be non-empty"):
             SpellChecker(sample_lexicon).check_word("")
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"k": 0}, "k must be positive"),
+        ({"max_cost": -1}, "max_cost must not be negative"),
+    ])
+    def test_bad_depth_or_cap_rejected_at_construction(self, sample_lexicon,
+                                                       setting, message):
+        with pytest.raises(ValueError, match=message):
+            SpellChecker(sample_lexicon, **setting)
+
     def test_empty_lexicon_propagates(self):
         with pytest.raises(EmptyLexiconError):
             SpellChecker(TrieDict()).check_word("dëkk")

@@ -112,6 +112,10 @@ class TestSuggest:
         with pytest.raises(EmptyLexiconError):
             suggest("dëkk", TrieDict(), model)
 
+    def test_negative_max_cost_rejected(self, sample_lexicon, model):
+        with pytest.raises(ValueError, match="max_cost must not be negative"):
+            suggest("deuk", sample_lexicon, model, max_cost=-1)
+
     def test_empty_query_rejected(self, sample_lexicon, model):
         with pytest.raises(ValueError):
             suggest("", sample_lexicon, model)
