@@ -6,13 +6,14 @@ raises ``MalformedLexiconError``.  ``load(path)`` reads a lexicon file
 through the same check: one word per line, UTF-8, LF or CRLF endings,
 blank lines and ``#`` comments ignored.  Duplicate words collapse silently.
 Membership follows the character path from the root node (the empty
-string) and requires it to end on a terminal node.
+string) and requires it to end on a node where a word ends.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .preprocess import normalize, numbered_lines
 
@@ -21,19 +22,29 @@ class MalformedLexiconError(ValueError):
     """A lexicon word is empty or contains inner whitespace or a digit."""
 
 
+# The children of every leaf: one shared read-only mapping, so a leaf holds
+# no dict of its own.  ``_insert`` gives a node its own dict when its first
+# child arrives.
+_NO_CHILDREN: Mapping[str, "_Node"] = MappingProxyType({})
+
+
 class _Node:
     """A trie node.  ``lo``/``hi`` are the shortest and longest remaining
-    length of a word ending in this node's subtree (``lo`` is 0 on a
-    terminal node); the suggestion walk bounds edit costs with them.  A
-    node with no word below it yet (an empty trie's root) has lo > hi."""
+    length of a word ending in this node's subtree, so ``lo`` is 0 exactly
+    on a node where a word ends; the suggestion walk bounds edit costs with
+    them.  A node with no word below it yet (a new node, an empty trie's
+    root) has lo > hi.  ``below`` is a bitmask of the letters on the edges
+    under the node, one bit per letter as ``TrieDict.letters()`` numbers
+    them (0 on a leaf); it is filled by the first ``letters()`` call, not
+    while inserting."""
 
-    __slots__ = ("children", "terminal", "lo", "hi")
+    __slots__ = ("children", "lo", "hi", "below")
 
-    def __init__(self, lo: int = sys.maxsize, hi: int = 0):
-        self.children: dict[str, _Node] = {}
-        self.terminal = False
-        self.lo = lo
-        self.hi = hi
+    def __init__(self):
+        self.children: Mapping[str, _Node] = _NO_CHILDREN
+        self.lo = sys.maxsize
+        self.hi = 0
+        self.below = 0
 
 
 class TrieDict:
@@ -43,6 +54,7 @@ class TrieDict:
         """Build the trie from raw word strings, checked and normalized."""
         self.root = _Node()
         self.word_count = 0
+        self._letters: dict[str, int] | None = None
         for word in words:
             self._insert(word, where=repr(word))
 
@@ -66,23 +78,54 @@ class TrieDict:
             if rest > node.hi:
                 node.hi = rest
             rest -= 1
-            child = node.children.get(c)
-            if child is None:
-                child = node.children[c] = _Node(rest, rest)
+            if node.children is _NO_CHILDREN:  # a leaf until now
+                child = _Node()
+                node.children = {c: child}
+            else:
+                child = node.children.get(c)
+                if child is None:
+                    child = node.children[c] = _Node()
             node = child
-        node.lo = 0
-        if not node.terminal:
-            node.terminal = True
+        if node.lo:  # no word ended here yet
+            node.lo = 0
             self.word_count += 1
 
+    def letters(self) -> dict[str, int]:
+        """Each letter on a trie edge, mapped to its bit in ``_Node.below``.
+
+        The first call sets every node's ``below`` mask, in one iterative
+        post-order pass; later calls return the same map.  Lookup never
+        needs the masks, so a trie only ever used for checking never pays
+        for them.
+        """
+        if self._letters is None:
+            # Leaves are skipped: their mask stays 0.
+            order = [self.root]  # pre-order: a node before its descendants
+            found = set()
+            for node in order:
+                children = node.children
+                if children is not _NO_CHILDREN:
+                    found.update(children)
+                    order.extend(children.values())
+            bits = {c: 1 << i for i, c in enumerate(sorted(found))}
+            for node in reversed(order):  # children before their parent
+                children = node.children
+                if children is not _NO_CHILDREN:
+                    below = 0
+                    for c, child in children.items():
+                        below |= bits[c] | child.below
+                    node.below = below
+            self._letters = bits
+        return self._letters
+
     def contains(self, word: str) -> bool:
-        """True iff the path for ``word`` exists and ends on a terminal node."""
+        """True iff the path for ``word`` exists and ends where a word ends."""
         node = self.root
         for c in word:
             node = node.children.get(c)
             if node is None:
                 return False
-        return node.terminal
+        return node.lo == 0
 
     def __contains__(self, word: str) -> bool:
         return self.contains(word)
@@ -98,7 +141,7 @@ class TrieDict:
         stack = [(self.root, "")]
         while stack:
             node, prefix = stack.pop()
-            if node.terminal:
+            if node.lo == 0:
                 yield prefix
             for c in sorted(node.children, reverse=True):
                 stack.append((node.children[c], prefix + c))

@@ -7,16 +7,30 @@ and trie character (a column over the query), not once per cell.
 
 A subtree is abandoned when a lower bound on the cost of every word in it
 exceeds the cost ceiling (the current k-th best cost, or the caller's cap).
-Pruning on a strictly-greater bound keeps ties intact.  Two admissible
+Pruning on a strictly-greater bound keeps ties intact.  Three admissible
 bounds are combined into one.  All edit costs are non-negative, so a word
 below the node costs at least ``row[i]`` plus the cost of turning the rest
 of the query, ``query[i:]``, into the rest of the word, for some i; taking
-that second cost as 0 gives the row minimum, Ukkonen's cut-off.  The rest
-of the word has between ``lo`` and ``hi`` characters (stored on each trie
-node), so turning ``query[i:]`` into it takes at least one insertion per
-missing character or one deletion per extra one.  The bound used is the
-minimum over i of ``row[i]`` plus that length penalty, never below the row
-minimum.
+that second cost as 0 gives the row minimum, Ukkonen's cut-off.  Two lower
+bounds on that second cost raise it:
+
+- Length.  The rest of the word has between ``lo`` and ``hi`` characters
+  (stored on each trie node), so turning ``query[i:]`` into it takes at
+  least one insertion per missing character or one deletion per extra one.
+- Letters.  Every letter of the rest of the word is in the node's ``below``
+  mask (the letters on the edges under it).  A letter of ``query[i:]``
+  outside the mask cannot be matched, so it is deleted or substituted for
+  some other lexicon letter: it costs at least its weight, the cheaper of
+  a deletion and its cheapest substitution by a lexicon letter.  The sum
+  of the weights of the absent letters is a lower bound (the "bag
+  distance" bound of Bartolini, Ciaccia & Patella, SPIRE 2002, per node),
+  under any cost model, zero-cost or asymmetric substitutions included.
+
+The max of two lower bounds is a lower bound, so the bound used is the
+minimum over i of ``row[i]`` plus the larger of the two penalties, never
+below the row minimum.  The penalty vectors are cached per query: length
+penalties by ``(lo, hi)``, letter penalties by the query letters the mask
+holds, and their merge by all three.
 
 The walk is iterative, on an explicit stack, so word length is not limited
 by recursion depth.  A node's bound is checked again when it is popped,
@@ -35,6 +49,7 @@ from __future__ import annotations
 import bisect
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -98,6 +113,13 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     model = model or default_cost_model()
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     n = len(query)
+    letters = trie.letters() if prune else {}
+    # A query letter's bit, 0 for one no lexicon word holds; qmask: all bits.
+    qbits = [letters.get(q, 0) for q in query]
+    qmask = 0
+    for bit in qbits:
+        qmask |= bit
+    qweights = _letter_weights(query, letters, dele, sub)
 
     # best[] holds (cost, word) sorted ascending, at most k entries.  No word
     # costing more than ceiling can enter it; ceiling falls once best is full.
@@ -105,9 +127,12 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     ceiling = sys.maxsize if max_cost is None else max_cost
     # cols[c][i]: cost of substituting trie character c for query[i].
     cols: dict[str, list[int]] = {}
-    # pens[lo, hi][i]: least cost of turning query[i:] into a string of
-    # lo..hi characters.
-    pens: dict[tuple[int, int], list[int]] = {}
+    # lens[lo, hi][i]: least cost of turning query[i:] into a string of
+    # lo..hi characters; misses[have][i]: least cost of the letters of
+    # query[i:] outside the mask ``have``; pens[lo, hi, have]: their max.
+    lens: dict[tuple[int, int], list[int]] = {}
+    misses: dict[int, list[int]] = {}
+    pens: dict[tuple[int, int, int], list[int]] = {}
     nodes = 0
 
     # row[i] = cost of transforming query[:i] into the node's prefix
@@ -138,15 +163,24 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
                 left = cell
             bound = 0
             if prune:
-                pen = pens.get((child.lo, child.hi))
+                key = (child.lo, child.hi, child.below & qmask)
+                pen = pens.get(key)
                 if pen is None:
-                    pen = pens[child.lo, child.hi] = _length_penalties(
-                        n, child.lo, child.hi, ins, dele)
+                    lo, hi, have = key
+                    length = lens.get((lo, hi))
+                    if length is None:
+                        length = lens[lo, hi] = _length_penalties(
+                            n, lo, hi, ins, dele)
+                    miss = misses.get(have)
+                    if miss is None:
+                        miss = misses[have] = _missing_penalties(
+                            qbits, qweights, have)
+                    pen = pens[key] = list(map(max, length, miss))
                 bound = min(map(add, child_row, pen))
                 if bound > ceiling:
                     continue
             word = prefix + c
-            if child.terminal:
+            if child.lo == 0:  # a word ends here
                 cost = child_row[-1]
                 if cost <= ceiling and (len(best) < k or (cost, word) < best[-1]):
                     bisect.insort(best, (cost, word))
@@ -179,6 +213,32 @@ def _length_penalties(n: int, lo: int, hi: int, ins: int,
             pen.append((rest - hi) * dele)
         else:
             pen.append(0)
+    return pen
+
+
+def _letter_weights(query: str, letters: dict[str, int], dele: int,
+                    sub) -> list[int]:
+    """Per query position, the least cost of its letter q where no word can
+    match it: a deletion, or a substitution by a lexicon letter other
+    than q."""
+    weights: dict[str, int] = {}
+    for q in set(query):
+        weights[q] = min(dele, min(map(sub, repeat(q), letters.keys() - {q}),
+                                   default=dele))
+    return [weights[q] for q in query]
+
+
+def _missing_penalties(qbits: list[int], qweights: list[int],
+                       have: int) -> list[int]:
+    """Per query position i (0..n), the summed weight of the letters of
+    query[i:] whose bit is not in ``have``."""
+    pen = [0]
+    total = 0
+    for bit, weight in zip(reversed(qbits), reversed(qweights)):
+        if not bit & have:
+            total += weight
+        pen.append(total)
+    pen.reverse()
     return pen
 
 

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from wolofspell import sample_lexicon_path
-from wolofspell.lexicon import MalformedLexiconError, TrieDict, load
+from wolofspell.lexicon import _NO_CHILDREN, MalformedLexiconError, TrieDict, load
+from wolofspell.pipeline import SpellChecker, WordStatus
 
 
 def write_lexicon(tmp_path, lines, name="lex.txt", newline="\n"):
@@ -150,9 +151,68 @@ class TestLengthBounds:
                 rest = [len(w) - len(prefix) for w in words
                         if w.startswith(prefix)]
                 assert (node.lo, node.hi) == (min(rest), max(rest)), prefix
-                assert (node.lo == 0) == node.terminal, prefix
+                assert (node.lo == 0) == (prefix in words), prefix
                 stack.extend((child, prefix + c)
                              for c, child in node.children.items())
+
+
+class TestLetterMasks:
+    def test_below_matches_the_letters_under_each_node(self, sample_words):
+        # every node's mask against the union of the letters that the words
+        # extending its prefix have after it, in two insertion orders
+        small = ["ab", "abcd", "b", "abc", "ñà"]
+        for words in (sample_words, sample_words[::-1], small, small[::-1]):
+            trie = TrieDict(words)
+            bits = trie.letters()
+            assert sorted(bits) == sorted(set("".join(words)))
+            assert sorted(bits.values()) == [1 << i for i in range(len(bits))]
+            stack = [(trie.root, "")]
+            while stack:
+                node, prefix = stack.pop()
+                below = {c for w in words if w.startswith(prefix)
+                         for c in w[len(prefix):]}
+                assert node.below == sum(bits[c] for c in below), prefix
+                stack.extend((child, prefix + c)
+                             for c, child in node.children.items())
+
+    def test_second_call_returns_the_same_map(self, sample_words):
+        trie = TrieDict(sample_words)
+        first = trie.letters()
+        assert trie.letters() is first
+
+    def test_checking_correct_text_never_builds_the_masks(self, sample_words):
+        # the pass runs on the first suggest call, which correct text
+        # never makes
+        trie = TrieDict(sample_words)
+        checker = SpellChecker(trie)
+        report = checker.check_text(" ".join(sample_words[:50]))
+        assert {r.status for r in report.results} == {WordStatus.CORRECT}
+        assert trie._letters is None
+        assert trie.root.below == 0
+        checker.check_text("deuk")
+        assert trie._letters is not None
+        assert trie.root.below != 0
+
+
+class TestSharedLeafChildren:
+    def test_leaves_share_one_empty_mapping(self):
+        trie = TrieDict(["ab", "ac"])
+        a = trie.root.children["a"]
+        assert a.children["b"].children is a.children["c"].children \
+            is _NO_CHILDREN
+
+    def test_a_word_extends_a_shorter_one(self):
+        trie = TrieDict(["ab", "abcd"])
+        assert list(trie.iterate()) == ["ab", "abcd"]
+        assert trie.contains("ab") and not trie.contains("abc")
+        ab = trie.root.children["a"].children["b"]
+        assert ab.children is not _NO_CHILDREN
+        assert len(_NO_CHILDREN) == 0
+
+    def test_shared_mapping_is_read_only(self):
+        with pytest.raises(TypeError):
+            _NO_CHILDREN["a"] = None
+        assert len(_NO_CHILDREN) == 0
 
 
 class TestNodeCount:

@@ -170,12 +170,47 @@ class TestLengthBound:
         assert suggest("a", trie, model, k=1).items == [Suggestion("abb", 2)]
 
 
+class TestLetterBound:
+    def test_letter_bound_prunes_where_length_bound_would_not(self, model):
+        trie = TrieDict(["ab", "cd"])
+        pruned = suggest("ab", trie, model, k=10, max_cost=2)
+        full = suggest("ab", trie, model, k=10, max_cost=2, prune=False)
+        assert pruned.items == full.items == [Suggestion("ab", 0)]
+        # At node "c" the row over "", "a", "ab" is [1, 2, 3]; one letter
+        # remains below it, so the length penalties are [1, 0, 1] and the
+        # length bound is 2, which max_cost=2 does not prune: "c" would be
+        # expanded (and its leaf "d" then pruned at cost 4).  But "b" is not
+        # below "c", so query[1:] costs at least b's weight, 1 (a deletion;
+        # any substitution costs 2), and query[0:] at least 2: penalties
+        # [2, 1, 1], bound 3.  Only the root, "a" and the leaf "ab" count.
+        assert pruned.nodes_expanded == 3
+        assert full.nodes_expanded == trie.node_count() == 5
+
+    @pytest.mark.parametrize("query,target", [("xb", "a"), ("ax", "b")])
+    def test_zero_cost_substitution_for_a_letter_outside_the_lexicon(
+            self, query, target):
+        # "x" is in no word, but substituting it for ``target`` is free, so
+        # its weight is 0.  For "ax", at node "a" the row over "", "a", "ax"
+        # is [1, 0, 1] and "x" is in the rest of the query, outside the
+        # letters below "a": a weight of 1 (a deletion) would give a bound
+        # of 1 and prune "ab" under max_cost=0.
+        model = CostModel(substitution_overrides={("x", target): 0})
+        trie = TrieDict(["ab"])
+        result = suggest(query, trie, model, k=1, max_cost=0)
+        assert [(s.word, s.cost) for s in result.items] == [("ab", 0)]
+
+
 SMALL_ALPHABET = "abé"
 MODELS = (
     CostModel(insert=1, delete=1),
     CostModel(insert=1, delete=3),
     CostModel(insert=3, delete=1),
     CostModel(substitution_overrides={("a", "é"): 0, ("é", "a"): 0}),
+    CostModel.unit(),
+    # asymmetric: query a to word b is free, query b to word a costs 3
+    CostModel(substitution_overrides={("a", "b"): 0, ("b", "a"): 3}),
+    # query x, a letter no word holds, to word a is free
+    CostModel(substitution_overrides={("x", "a"): 0}),
 )
 
 
