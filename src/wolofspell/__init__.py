@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 # Re-exported from ``evaluation`` on first access, so that checking text
 # (the CLI's ``check`` included) never pays for importing the harness.
 _EVALUATION_NAMES = frozenset({
-    "ConfusionCounts", "CorpusEntry", "EmptyCorpusError", "EvalReport",
-    "MalformedCorpusError", "compute_metrics", "evaluate", "histogram",
-    "load_corpus",
+    "ConfusionCounts", "CorpusEntry", "DetectionMetrics", "EmptyCorpusError",
+    "EvalReport", "MalformedCorpusError", "compute_metrics", "evaluate",
+    "histogram", "load_corpus",
 })
 
 

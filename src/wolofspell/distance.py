@@ -32,11 +32,10 @@ DEFAULT_SUBSTITUTION_PAIRS = (
 
 
 def _symmetric(pairs) -> dict[tuple[str, str], int]:
+    """Cost 1 for each couple, both ways."""
     table = {}
-    for entry in pairs:
-        a, b, cost = entry if len(entry) == 3 else (*entry, 1)
-        table[(a, b)] = cost
-        table[(b, a)] = cost
+    for a, b in pairs:
+        table[a, b] = table[b, a] = 1
     return table
 
 
@@ -69,8 +68,9 @@ class CostModel(NamedTuple):
         Unlisted unequal pairs keep the default cost of 2.  ``#`` starts a
         comment; blank lines are ignored.  Characters are lowercased and
         NFC-composed like tokens, and each must then be a single scalar.
+        The two must differ, and a couple is given once: its cost holds both ways.
         """
-        pairs = []
+        table: dict[tuple[str, str], int] = {}
         for lineno, line in numbered_lines(path):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -84,6 +84,10 @@ class CostModel(NamedTuple):
                 raise ValueError(
                     f"{path}:{lineno}: {a!r} and {b!r} must be one "
                     f"character each")
+            if a == b:
+                raise ValueError(f"{path}:{lineno}: {a!r} is paired with itself")
+            if (a, b) in table:
+                raise ValueError(f"{path}:{lineno}: duplicate couple {a!r}, {b!r}")
             try:
                 cost = int(parts[2])
             except ValueError:
@@ -91,8 +95,8 @@ class CostModel(NamedTuple):
                                  f"not an integer") from None
             if cost < 0:
                 raise ValueError(f"{path}:{lineno}: negative cost")
-            pairs.append((a, b, cost))
-        return cls(substitution_overrides=_symmetric(pairs))
+            table[a, b] = table[b, a] = cost
+        return cls(substitution_overrides=table)
 
 
 _DEFAULT_MODEL = CostModel()

@@ -19,8 +19,7 @@ over those the checker corrected to something other than the gold.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distance import plain_edit_distance
 from .pipeline import SpellChecker, WordStatus
@@ -35,16 +34,13 @@ class EmptyCorpusError(ValueError):
     """Evaluation needs at least one entry."""
 
 
-# The evaluation records stay dataclasses: vars() reads a DetectionMetrics' fields.
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     word: str
     valid: bool
     gold: str | None = None
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int  # valid word recognized as correct
     fp: int  # invalid word recognized as correct
     fn: int  # valid word flagged
@@ -55,8 +51,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class DetectionMetrics:
+class DetectionMetrics(NamedTuple):
     lexical_recall: float      # tp / (tp + fn)
     error_recall: float        # tn / (tn + fp)
     lexical_precision: float   # tp / (tp + fp)
@@ -66,8 +61,7 @@ class DetectionMetrics:
     predictive_accuracy: float  # (tp + tn) / total
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     counts: ConfusionCounts
     detection: DetectionMetrics
     suggestion_adequacy: float
@@ -163,7 +157,6 @@ def evaluate(entries: Sequence[CorpusEntry],
         raise EmptyCorpusError("corpus has no entries")
 
     tp = fp = fn = tn = 0
-    n_invalid = 0
     top1_hits = 0
     reciprocal_sum = 0.0
     distances_all: list[int] = []
@@ -182,7 +175,6 @@ def evaluate(entries: Sequence[CorpusEntry],
             continue
 
         # invalid entry
-        n_invalid += 1
         if recognized_correct:
             fp += 1
         else:
@@ -203,22 +195,19 @@ def evaluate(entries: Sequence[CorpusEntry],
     return EvalReport(
         counts=counts,
         detection=compute_metrics(counts),
-        suggestion_adequacy=_ratio(top1_hits, n_invalid),
-        mean_reciprocal_rank=_ratio(reciprocal_sum, n_invalid),
+        suggestion_adequacy=_ratio(top1_hits, fp + tn),
+        mean_reciprocal_rank=_ratio(reciprocal_sum, fp + tn),
         histogram_all=_buckets(distances_all),
         histogram_wrong=_buckets(distances_wrong),
     )
 
 
-_METRIC_ROWS = (
-    ("lexical_recall", "Lexical recall"),
-    ("error_recall", "Error recall"),
-    ("lexical_precision", "Lexical precision"),
-    ("error_precision", "Error precision"),
-    ("lexical_f_measure", "Lexical F-measure"),
-    ("error_f_measure", "Error F-measure"),
-    ("predictive_accuracy", "Predictive accuracy"),
-)
+# The percentage rows: DetectionMetrics' fields in order, then the two
+# suggestion scores.
+_PERCENT_LABELS = ("Lexical recall", "Error recall", "Lexical precision",
+                   "Error precision", "Lexical F-measure", "Error F-measure",
+                   "Predictive accuracy", "Suggestion adequacy",
+                   "Mean reciprocal rank")
 
 
 def format_report(report: EvalReport) -> str:
@@ -230,11 +219,10 @@ def format_report(report: EvalReport) -> str:
         "",
         f"{'Metric':<22}{'Percentage':>10}",
     ]
-    for attr, label in _METRIC_ROWS:
-        value = getattr(report.detection, attr)
+    ratios = (*report.detection, report.suggestion_adequacy,
+              report.mean_reciprocal_rank)
+    for label, value in zip(_PERCENT_LABELS, ratios):
         lines.append(f"{label:<22}{100 * value:>9.2f}%")
-    lines.append(f"{'Suggestion adequacy':<22}{100 * report.suggestion_adequacy:>9.2f}%")
-    lines.append(f"{'Mean reciprocal rank':<22}{100 * report.mean_reciprocal_rank:>9.2f}%")
     for name, hist in (("all misspellings", report.histogram_all),
                        ("wrong corrections", report.histogram_wrong)):
         lines.append("")
@@ -247,42 +235,40 @@ def format_report(report: EvalReport) -> str:
 
 
 def format_report_structured(report: EvalReport) -> str:
-    """Machine-readable key<TAB>value lines; round-trips via parse_report."""
-    c = report.counts
-    lines = [f"tp\t{c.tp}", f"fp\t{c.fp}", f"fn\t{c.fn}", f"tn\t{c.tn}"]
-    for attr, _ in _METRIC_ROWS:
-        lines.append(f"{attr}\t{getattr(report.detection, attr)!r}")
-    lines.append(f"suggestion_adequacy\t{report.suggestion_adequacy!r}")
-    lines.append(f"mean_reciprocal_rank\t{report.mean_reciprocal_rank!r}")
-    for prefix, hist in (("histogram_all", report.histogram_all),
-                         ("histogram_wrong", report.histogram_wrong)):
-        for d, n in hist.items():
-            lines.append(f"{prefix}.{d}\t{n}")
-    return "\n".join(lines) + "\n"
+    """Machine-readable key<TAB>value lines; round-trips via parse_report.
+
+    One line per field in field order: a nested record's fields by their
+    own names, a histogram's buckets as ``name.distance``.
+    """
+    pairs = []
+    for name, value in zip(report._fields, report):
+        if isinstance(value, tuple):  # ConfusionCounts, DetectionMetrics
+            pairs += zip(value._fields, value)
+        elif isinstance(value, dict):  # a histogram
+            pairs += ((f"{name}.{d}", n) for d, n in value.items())
+        else:
+            pairs.append((name, value))
+    return "".join(f"{key}\t{value!r}\n" for key, value in pairs)
 
 
 def parse_report(text: str) -> EvalReport:
     """Rebuild an EvalReport from its structured rendering."""
-    counts: dict[str, int] = {}
-    ratios: dict[str, float] = {}
+    values: dict[str, str] = {}
     hists: dict[str, dict[int, int]] = {"histogram_all": {}, "histogram_wrong": {}}
     for line in text.splitlines():
         if not line.strip():
             continue
         key, value = line.split("\t")
-        if key in ("tp", "fp", "fn", "tn"):
-            counts[key] = int(value)
-        elif key.startswith("histogram_"):
-            prefix, d = key.rsplit(".", 1)
-            hists[prefix][int(d)] = int(value)
+        name, _, d = key.partition(".")
+        if d:
+            hists[name][int(d)] = int(value)
         else:
-            ratios[key] = float(value)
-    detection = DetectionMetrics(**{attr: ratios[attr] for attr, _ in _METRIC_ROWS})
+            values[key] = value
     return EvalReport(
-        counts=ConfusionCounts(**counts),
-        detection=detection,
-        suggestion_adequacy=ratios["suggestion_adequacy"],
-        mean_reciprocal_rank=ratios["mean_reciprocal_rank"],
-        histogram_all=hists["histogram_all"],
-        histogram_wrong=hists["histogram_wrong"],
+        counts=ConfusionCounts(*(int(values[f]) for f in ConfusionCounts._fields)),
+        detection=DetectionMetrics(*(float(values[f])
+                                     for f in DetectionMetrics._fields)),
+        suggestion_adequacy=float(values["suggestion_adequacy"]),
+        mean_reciprocal_rank=float(values["mean_reciprocal_rank"]),
+        **hists,
     )

@@ -56,20 +56,23 @@ class TrieDict:
         self.word_count = 0
         self._letters: dict[str, int] | None = None
         for word in words:
-            self._insert(word, where=repr(word))
+            try:
+                self._insert(word)
+            except MalformedLexiconError as err:
+                raise MalformedLexiconError(f"{word!r}: {err}") from None
 
-    def _insert(self, word: str, where: str) -> None:
+    def _insert(self, word: str) -> None:
+        """Add one raw word; a bad one raises the reason, not the location."""
         word = normalize(word.strip())
         if not word:
-            raise MalformedLexiconError(f"{where}: empty word")
+            raise MalformedLexiconError("empty word")
         # No alphabetic code point is also whitespace or a digit, so an
         # all-alphabetic word needs neither scan (tests pin this).
         if not word.isalpha():
             if any(c.isspace() for c in word):
-                raise MalformedLexiconError(
-                    f"{where}: whitespace inside word {word!r}")
+                raise MalformedLexiconError(f"whitespace inside word {word!r}")
             if any(c.isdigit() for c in word):
-                raise MalformedLexiconError(f"{where}: digit inside word {word!r}")
+                raise MalformedLexiconError(f"digit inside word {word!r}")
         node = self.root
         rest = len(word)
         for c in word:
@@ -172,5 +175,8 @@ def load(path) -> TrieDict:
         word = line.strip()
         if not word or word.startswith("#"):
             continue
-        trie._insert(word, where=f"{path}:{lineno}")
+        try:
+            trie._insert(word)
+        except MalformedLexiconError as err:
+            raise MalformedLexiconError(f"{path}:{lineno}: {err}") from None
     return trie

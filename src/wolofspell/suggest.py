@@ -69,10 +69,11 @@ class Suggestion(NamedTuple):
     cost: int
 
 
-# A dataclass, not a NamedTuple: it is mutable and dataclasses.replace rebuilds it.
-@dataclass
+# Frozen, so one result can be shared.  A dataclass rather than a NamedTuple
+# because the benchmark's tests rebuild one with dataclasses.replace.
+@dataclass(frozen=True)
 class SuggestionList:
-    items: list[Suggestion]
+    items: tuple[Suggestion, ...]
     query: str
     nodes_expanded: int = field(default=0, compare=False)
 
@@ -81,9 +82,6 @@ class SuggestionList:
 
     def __len__(self):
         return len(self.items)
-
-    def words(self) -> list[str]:
-        return [s.word for s in self.items]
 
     def rank_of(self, word: str) -> int | None:
         """1-based rank of ``word`` in the list, None when absent."""
@@ -196,7 +194,7 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         kept.sort(key=_bound, reverse=True)
         stack.extend(kept)
 
-    items = [Suggestion(word, cost) for cost, word in best]
+    items = tuple([Suggestion(word, cost) for cost, word in best])
     return SuggestionList(items=items, query=query, nodes_expanded=nodes)
 
 

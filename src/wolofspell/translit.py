@@ -11,8 +11,9 @@ like "kh" and "th" contain letters that elimination would destroy.
 
 Rules live in a TSV file (``pattern<TAB>replacement<TAB>priority``, lower
 priority fires first, empty replacement deletes the pattern); patterns and
-replacements are lowercased and NFC-composed like tokens.  The bundled
-default set is a starting point meant to be extended.
+replacements are lowercased and NFC-composed like tokens (no pattern holds
+whitespace, as no token does).  The bundled default set is a starting point
+meant to be extended.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class RuleSet:
             pattern, replacement = normalize(parts[0]), normalize(parts[1])
             if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
                 raise ValueError(f"{path}:{lineno}: pattern length out of range")
+            if any(c.isspace() for c in pattern):
+                raise ValueError(f"{path}:{lineno}: whitespace in pattern {pattern!r}")
             if pattern in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate pattern {pattern!r}")
             seen.add(pattern)

@@ -236,6 +236,20 @@ class TestReadmeExamples:
         assert result.exit_code == 0
         assert (result.stdout + result.stderr).split() == documented.split()
 
+    def test_library_example_prints_what_it_documents(self, capsys):
+        text = self.README.read_text(encoding="utf-8")
+        block = text.split("## Library\n", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        # each print's output is the comment on its line; the last comment
+        # describes the candidate list rather than spelling it out
+        documented = [line.split("# ", 1)[1].strip('"')
+                      for line in block.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(documented) == 3
+        assert printed[:2] == documented[:2] == ["dëkk bi", "WordStatus.CORRECTED musiba"]
+        assert printed[2].startswith("[('musiba', 0), ")
+
 
 class TestColdStart:
     def test_import_and_check_skip_evaluation(self):

@@ -54,14 +54,21 @@ class TestCostModel:
 
     def test_override_file_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "costs.tsv"
-        for row, detail in (("b\td\n", "expected"),
-                            ("ou\tu\t0\n", "one character"),
-                            ("a\tbb\t1\n", "one character"),
-                            ("b\td\tx\n", "cost 'x'")):
-            path.write_text(row, encoding="utf-8")
-            with pytest.raises(ValueError, match=f"{path}:1") as err:
+        for rows, lineno, detail in (
+                ("b\td\n", 1, "expected"),
+                ("ou\tu\t0\n", 1, "one character"),
+                ("a\tbb\t1\n", 1, "one character"),
+                ("b\td\tx\n", 1, "cost 'x'"),
+                # equal characters: substitute_cost never reads the row
+                ("b\td\t1\na\ta\t5\n", 2, "'a' is paired with itself"),
+                ("A\ta\t5\n", 1, "'a' is paired with itself"),
+                # one cost covers both orders, so a couple is given once
+                ("a\tà\t1\nà\ta\t3\n", 2, "duplicate couple 'à', 'a'"),
+                ("a\tà\t1\na\u0300\ta\t1\n", 2, "duplicate couple")):
+            path.write_text(rows, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{path}:{lineno}:") as err:
                 CostModel.from_file(path)
-            assert detail in str(err.value), row
+            assert detail in str(err.value), rows
 
     def test_override_file_normalizes_characters(self, tmp_path):
         path = tmp_path / "costs.tsv"

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wolofspell.evaluation import (
     ConfusionCounts,
     CorpusEntry,
+    DetectionMetrics,
     EmptyCorpusError,
+    EvalReport,
     MalformedCorpusError,
     compute_metrics,
     evaluate,
@@ -104,7 +107,7 @@ class TestComputeMetrics:
         for _ in range(200):
             counts = ConfusionCounts(*(rng.randint(0, 50) for _ in range(4)))
             m = compute_metrics(counts)
-            for value in vars(m).values():
+            for value in m:
                 assert 0.0 <= value <= 1.0
 
     def test_zero_denominators_give_zero(self):
@@ -188,11 +191,78 @@ class TestHistogram:
         assert sum(pct for _, pct in got.values()) == pytest.approx(100.0)
 
 
+TOY_TEXT_REPORT = """\
+Words scored: 3 (TP=1 FP=0 FN=0 TN=2)
+
+Metric                Percentage
+Lexical recall           100.00%
+Error recall             100.00%
+Lexical precision        100.00%
+Error precision          100.00%
+Lexical F-measure        100.00%
+Error F-measure          100.00%
+Predictive accuracy      100.00%
+Suggestion adequacy       50.00%
+Mean reciprocal rank      75.00%
+
+Edit distance histogram (all misspellings):
+    2      1   50.00%
+    4      1   50.00%
+  all      2
+
+Edit distance histogram (wrong corrections):
+    4      1  100.00%
+  all      1"""
+
+TOY_STRUCTURED_REPORT = """\
+tp\t1
+fp\t0
+fn\t0
+tn\t2
+lexical_recall\t1.0
+error_recall\t1.0
+lexical_precision\t1.0
+error_precision\t1.0
+lexical_f_measure\t1.0
+error_f_measure\t1.0
+predictive_accuracy\t1.0
+suggestion_adequacy\t0.5
+mean_reciprocal_rank\t0.75
+histogram_all.2\t1
+histogram_all.4\t1
+histogram_wrong.4\t1
+"""
+
+ratios = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 2 / 3, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0))
+histograms = st.dictionaries(st.integers(0, 40), st.integers(1, 10**6), max_size=6)
+reports = st.builds(
+    EvalReport,
+    counts=st.builds(ConfusionCounts, *[st.integers(0, 10**6)] * 4),
+    detection=st.builds(DetectionMetrics, *[ratios] * 7),
+    suggestion_adequacy=ratios,
+    mean_reciprocal_rank=ratios,
+    histogram_all=histograms,
+    histogram_wrong=histograms,
+)
+
+
 class TestReportFormats:
     def test_structured_round_trips(self, toy_checker):
         report = evaluate(list(TOY_ENTRIES), toy_checker)
         parsed = parse_report(format_report_structured(report))
         assert parsed == report
+
+    @given(reports)
+    def test_generated_reports_round_trip(self, report):
+        text = format_report_structured(report)
+        assert parse_report(text) == report
+        assert format_report_structured(parse_report(text)) == text
+
+    def test_toy_corpus_bytes(self, toy_checker):
+        report = evaluate(list(TOY_ENTRIES), toy_checker)
+        assert format_report(report) == TOY_TEXT_REPORT
+        assert format_report_structured(report) == TOY_STRUCTURED_REPORT
 
     def test_text_report_mentions_every_metric(self, toy_checker):
         report = evaluate(list(TOY_ENTRIES), toy_checker)
@@ -205,9 +275,9 @@ class TestReportFormats:
 
 
 class TestPackageReexports:
-    NAMES = ("ConfusionCounts", "CorpusEntry", "EmptyCorpusError",
-             "EvalReport", "MalformedCorpusError", "compute_metrics",
-             "evaluate", "histogram", "load_corpus")
+    NAMES = ("ConfusionCounts", "CorpusEntry", "DetectionMetrics",
+             "EmptyCorpusError", "EvalReport", "MalformedCorpusError",
+             "compute_metrics", "evaluate", "histogram", "load_corpus")
 
     def test_names_resolve_to_evaluation_module(self):
         import wolofspell

@@ -69,6 +69,19 @@ class TestLoad:
         with pytest.raises(MalformedLexiconError, match=f"{path}:3"):
             load(path)
 
+    def test_error_messages(self, tmp_path):
+        for words, message in (
+                (["dëkk", "Dëkk bi"], "'Dëkk bi': whitespace inside word 'dëkk bi'"),
+                (["DËKK2"], "'DËKK2': digit inside word 'dëkk2'"),
+                (["  "], "'  ': empty word")):
+            with pytest.raises(MalformedLexiconError) as err:
+                TrieDict(words)
+            assert str(err.value) == message
+        path = write_lexicon(tmp_path, ["dëkk", "# note", " Dëkk2 "])
+        with pytest.raises(MalformedLexiconError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:3: digit inside word 'dëkk2'"
+
     def test_word_list_builds_the_same_trie(self):
         path = sample_lexicon_path()
         lines = [line for line in path.read_text(encoding="utf-8").splitlines()

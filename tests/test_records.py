@@ -1,18 +1,25 @@
 """The result and configuration records are immutable named tuples: fixed
-fields and defaults, value equality, and the ``Name(field=value)`` repr."""
+fields and defaults, value equality, and the ``Name(field=value)`` repr.
+``SuggestionList`` is the one frozen dataclass."""
+
+import dataclasses
 
 import pytest
 
 from wolofspell.alphabet import Grapheme, GraphemeClass
 from wolofspell.distance import DEFAULT_SUBSTITUTION_PAIRS, CostModel, _symmetric
+from wolofspell.evaluation import (ConfusionCounts, CorpusEntry, DetectionMetrics,
+                                   EvalReport)
 from wolofspell.pipeline import CheckReport, FlaggedBy, WordResult, WordStatus
 from wolofspell.preprocess import Token
 from wolofspell.rules import INITIAL_STRONG, RuleVerdict, Violation
-from wolofspell.suggest import Suggestion, SuggestionList
+from wolofspell.suggest import Suggestion, SuggestionList, suggest
 from wolofspell.translit import TranslitRule
 
 TOKEN = Token("deuk", 0)
-SUGGESTIONS = SuggestionList([Suggestion("dëkk", 1)], "dëk", nodes_expanded=3)
+COUNTS = ConfusionCounts(1, 0, 0, 2)
+METRICS = DetectionMetrics(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+SUGGESTIONS = SuggestionList((Suggestion("dëkk", 1),), "dëk", nodes_expanded=3)
 
 # class, field names in order, defaults, one value per field
 RECORDS = [
@@ -33,6 +40,14 @@ RECORDS = [
      (TOKEN, WordStatus.CORRECTED, "dëkk", SUGGESTIONS, FlaggedBy.LEXICON)),
     (CheckReport, ("results", "corrected_text"), {},
      ((WordResult(TOKEN, WordStatus.CORRECT),), "deuk")),
+    (CorpusEntry, ("word", "valid", "gold"), {"gold": None}, ("deuk", False, "dëkk")),
+    (ConfusionCounts, ("tp", "fp", "fn", "tn"), {}, tuple(COUNTS)),
+    (DetectionMetrics, ("lexical_recall", "error_recall", "lexical_precision",
+                        "error_precision", "lexical_f_measure", "error_f_measure",
+                        "predictive_accuracy"), {}, tuple(METRICS)),
+    (EvalReport, ("counts", "detection", "suggestion_adequacy",
+                  "mean_reciprocal_rank", "histogram_all", "histogram_wrong"), {},
+     (COUNTS, METRICS, 0.5, 0.75, {2: 1, 4: 1}, {4: 1})),
 ]
 IDS = [record[0].__name__ for record in RECORDS]
 
@@ -83,6 +98,15 @@ def test_word_result_repr():
     assert repr(result) == (
         "WordResult(original=Token(surface='deuk', position=0), "
         "status=<WordStatus.CORRECTED: 'corrected'>, corrected='dëkk', "
-        "suggestions=SuggestionList(items=[Suggestion(word='dëkk', cost=1)], "
+        "suggestions=SuggestionList(items=(Suggestion(word='dëkk', cost=1),), "
         "query='dëk', nodes_expanded=3), "
         "flagged_by=<FlaggedBy.LEXICON: 'lexicon'>)")
+
+
+def test_suggestion_list_is_frozen(sample_lexicon):
+    result = suggest("deuk", sample_lexicon, k=3)
+    assert type(result.items) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.items = ()
+    # nodes_expanded is a counter, not part of the value
+    assert dataclasses.replace(result, nodes_expanded=0) == result

@@ -100,7 +100,7 @@ class TestSuggest:
     def test_no_duplicate_words(self, sample_lexicon, sample_words, model):
         rng = random.Random(101)
         for query in mutations(sample_words, rng, 30):
-            words = suggest(query, sample_lexicon, model, k=10).words()
+            words = [s.word for s in suggest(query, sample_lexicon, model, k=10)]
             assert len(words) == len(set(words))
 
     def test_deterministic(self, sample_lexicon, model):
@@ -152,7 +152,7 @@ class TestLengthBound:
         trie = TrieDict(["ab", "abcdefgh"])
         pruned = suggest("abc", trie, model, k=10, max_cost=1)
         full = suggest("abc", trie, model, k=10, max_cost=1, prune=False)
-        assert pruned.items == full.items == [Suggestion("ab", 1)]
+        assert pruned.items == full.items == (Suggestion("ab", 1),)
         # At node "abc" the row minimum is 0 (the prefix equals the query),
         # and at "abcd" it is 1, so the row minimum alone would expand both
         # under max_cost=1.  Every word below "abc" has 5 more characters
@@ -167,7 +167,7 @@ class TestLengthBound:
         # missing characters as deletions (3 each) would prune it.
         model = CostModel(insert=1, delete=3)
         trie = TrieDict(["abb", "b"])
-        assert suggest("a", trie, model, k=1).items == [Suggestion("abb", 2)]
+        assert suggest("a", trie, model, k=1).items == (Suggestion("abb", 2),)
 
 
 class TestLetterBound:
@@ -175,7 +175,7 @@ class TestLetterBound:
         trie = TrieDict(["ab", "cd"])
         pruned = suggest("ab", trie, model, k=10, max_cost=2)
         full = suggest("ab", trie, model, k=10, max_cost=2, prune=False)
-        assert pruned.items == full.items == [Suggestion("ab", 0)]
+        assert pruned.items == full.items == (Suggestion("ab", 0),)
         # At node "c" the row over "", "a", "ab" is [1, 2, 3]; one letter
         # remains below it, so the length penalties are [1, 0, 1] and the
         # length bound is 2, which max_cost=2 does not prune: "c" would be

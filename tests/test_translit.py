@@ -121,6 +121,16 @@ class TestRuleSet:
                            match=re.escape(f"{path}:2: duplicate pattern 'ou'")):
             RuleSet.from_file(path)
 
+    def test_pattern_with_whitespace_names_line(self, tmp_path):
+        # no token holds whitespace, so such a pattern could never fire
+        path = tmp_path / "rules.tsv"
+        for row, pattern in ((" ou\tu\t1", "' ou'"), ("o u\tu\t1", "'o u'"),
+                             ("ou\u00a0\tu\t1", "'ou\\xa0'")):
+            path.write_text(f"h\t\t10\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:2: whitespace in pattern {pattern}")):
+                RuleSet.from_file(path)
+
     def test_rules_normalized_like_tokens(self, tmp_path):
         path = tmp_path / "rules.tsv"
         path.write_text("OU\tU\t10\n", encoding="utf-8")
