@@ -55,7 +55,7 @@ def _output_format(text: str) -> str:
 _SETTINGS = {
     "lexicon": ("--lexicon", str, None, "PATH", "Lexicon file (default: bundled sample)."),
     "costs": ("--costs", str, None, "PATH", "Substitution-cost override file."),
-    "translit": ("--translit", str, None, "PATH", "Transliteration rule file."),
+    "translit": ("--translit", str, None, "PATH", "Transliteration rule file (replaces the bundled rules)."),
     "exclude": ("--exclude", str, None, "PATH", "Exclusion list of words to drop."),
     "k": ("-k", lambda text: _integer(text, least=1), 10, "N",
           "Suggestion list depth (default: 10)."),
@@ -67,7 +67,8 @@ _SETTINGS = {
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` config lines; '#' comments; unknown keys rejected."""
+    """Flat ``key = value`` config lines; '#' comments; unknown or repeated
+    keys rejected."""
     values = {}
     for lineno, line in numbered_lines(path):
         line = line.split("#", 1)[0].strip()
@@ -79,6 +80,8 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate setting {key!r}")
         values[key] = value.strip()
     return values
 
@@ -124,10 +127,14 @@ def check(args, checker: SpellChecker, fmt: str) -> int:
     """
     # strict UTF-8 with universal newlines, from a file or from stdin
     if args.INPUT == "-":
-        text = io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8").read()
+        name, data = "<stdin>", sys.stdin.buffer.read()
     else:
-        with open(args.INPUT, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.INPUT, "rb") as fh:
+            name, data = args.INPUT, fh.read()
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{name}: not UTF-8 text ({err.reason})") from None
     report = checker.check_text(text)
     # corrected_text carries the input's own line breaks, trailing one included
     sys.stdout.write(report.corrected_text)
@@ -155,6 +162,8 @@ def suggest(args, checker: SpellChecker, fmt: str) -> int:
     norm = normalize(args.WORD).strip()
     if not norm:
         args.parser.error(f"WORD {args.WORD!r} is empty after normalization")
+    if any(c.isspace() for c in norm):
+        args.parser.error(f"WORD {args.WORD!r} contains whitespace")
     result = checker.check_word(norm)
     if result.status is WordStatus.CORRECT:
         candidates = suggest_words(norm, checker.lexicon, checker.model,

@@ -28,9 +28,9 @@ bounds on that second cost raise it:
 
 The max of two lower bounds is a lower bound, so the bound used is the
 minimum over i of ``row[i]`` plus the larger of the two penalties, never
-below the row minimum.  The penalty vectors are cached per query: length
-penalties by ``(lo, hi)``, letter penalties by the query letters the mask
-holds, and their merge by all three.
+below the row minimum.  One vector holds that larger penalty for every i;
+vectors are cached per query by ``(lo, hi, letters held)``, the query
+letters being those the node's mask holds.
 
 The walk is iterative, on an explicit stack, so word length is not limited
 by recursion depth.  A node's bound is checked again when it is popped,
@@ -125,11 +125,8 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     ceiling = sys.maxsize if max_cost is None else max_cost
     # cols[c][i]: cost of substituting trie character c for query[i].
     cols: dict[str, list[int]] = {}
-    # lens[lo, hi][i]: least cost of turning query[i:] into a string of
-    # lo..hi characters; misses[have][i]: least cost of the letters of
-    # query[i:] outside the mask ``have``; pens[lo, hi, have]: their max.
-    lens: dict[tuple[int, int], list[int]] = {}
-    misses: dict[int, list[int]] = {}
+    # pens[lo, hi, have][i]: a lower bound on turning query[i:] into the rest
+    # of a word below a node with those lengths and query letters held.
     pens: dict[tuple[int, int, int], list[int]] = {}
     nodes = 0
 
@@ -137,7 +134,7 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     stack = [(0, trie.root, [i * dele for i in range(n + 1)], "")]
     while stack:
         bound, node, row, prefix = stack.pop()
-        if prune and bound > ceiling:
+        if bound > ceiling:
             continue
         nodes += 1
         first, tail = row[0] + ins, row[1:]
@@ -164,16 +161,8 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
                 key = (child.lo, child.hi, child.below & qmask)
                 pen = pens.get(key)
                 if pen is None:
-                    lo, hi, have = key
-                    length = lens.get((lo, hi))
-                    if length is None:
-                        length = lens[lo, hi] = _length_penalties(
-                            n, lo, hi, ins, dele)
-                    miss = misses.get(have)
-                    if miss is None:
-                        miss = misses[have] = _missing_penalties(
-                            qbits, qweights, have)
-                    pen = pens[key] = list(map(max, length, miss))
+                    pen = pens[key] = _penalties(qbits, qweights, *key,
+                                                 ins, dele)
                 bound = min(map(add, child_row, pen))
                 if bound > ceiling:
                     continue
@@ -198,22 +187,6 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     return SuggestionList(items=items, query=query, nodes_expanded=nodes)
 
 
-def _length_penalties(n: int, lo: int, hi: int, ins: int,
-                      dele: int) -> list[int]:
-    """Per query position i, the least cost of aligning the n - i query
-    characters left with a suffix of length lo..hi: each missing character
-    is an insertion, each extra one a deletion."""
-    pen = []
-    for rest in range(n, -1, -1):
-        if rest < lo:
-            pen.append((lo - rest) * ins)
-        elif rest > hi:
-            pen.append((rest - hi) * dele)
-        else:
-            pen.append(0)
-    return pen
-
-
 def _letter_weights(query: str, letters: dict[str, int], dele: int,
                     sub) -> list[int]:
     """Per query position, the least cost of its letter q where no word can
@@ -226,16 +199,26 @@ def _letter_weights(query: str, letters: dict[str, int], dele: int,
     return [weights[q] for q in query]
 
 
-def _missing_penalties(qbits: list[int], qweights: list[int],
-                       have: int) -> list[int]:
-    """Per query position i (0..n), the summed weight of the letters of
-    query[i:] whose bit is not in ``have``."""
-    pen = [0]
-    total = 0
+def _penalties(qbits: list[int], qweights: list[int], lo: int, hi: int,
+               have: int, ins: int, dele: int) -> list[int]:
+    """Per query position i (0..n), the larger of two lower bounds on turning
+    query[i:] into a suffix of lo..hi characters whose letters are the bits
+    of ``have``: one insertion per missing character or one deletion per
+    extra one, and the summed weight of the letters of query[i:] whose bit
+    is not in ``have``."""
+    pen = [lo * ins]
+    rest = total = 0
     for bit, weight in zip(reversed(qbits), reversed(qweights)):
+        rest += 1
         if not bit & have:
             total += weight
-        pen.append(total)
+        if rest < lo:
+            length = (lo - rest) * ins
+        elif rest > hi:
+            length = (rest - hi) * dele
+        else:
+            length = 0
+        pen.append(length if length > total else total)
     pen.reverse()
     return pen
 

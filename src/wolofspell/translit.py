@@ -12,8 +12,9 @@ like "kh" and "th" contain letters that elimination would destroy.
 Rules live in a TSV file (``pattern<TAB>replacement<TAB>priority``, lower
 priority fires first, empty replacement deletes the pattern); patterns and
 replacements are lowercased and NFC-composed like tokens (no pattern holds
-whitespace, as no token does).  The bundled default set is a starting point
-meant to be extended.
+whitespace, as no token does).  A rule file replaces the bundled default
+set rather than adding to it: to extend the bundled set, copy
+``data/translit_rules.tsv`` and add rows to the copy.
 """
 
 from __future__ import annotations

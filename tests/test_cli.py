@@ -117,7 +117,23 @@ class TestCheck:
     def test_non_utf8_stdin_exits_1(self, monkeypatch, capsys):
         set_stdin(monkeypatch, "dëkk\n".encode("latin-1"))
         assert run(["check"]) == EXIT_ERROR
-        assert "utf-8" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: <stdin>: not UTF-8")
+
+    def test_non_utf8_input_file_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("dëkk\n".encode("latin-1"))
+        assert run(["check", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
+
+    def test_translit_file_replaces_bundled_rules(self, invoke, tmp_path):
+        rules = tmp_path / "one.tsv"
+        rules.write_text("gn\tñ\t1\n", encoding="utf-8")
+        result = invoke(["check", "--translit", str(rules)],
+                        input="deuk gnopati\n")
+        assert result.exit_code == 0
+        # Without the bundled "eu" -> "ë" rule, "deuk" no longer becomes "dëkk".
+        assert result.stdout == "dee ñoppati\n"
+        assert invoke(["check"], input="deuk gnopati\n").stdout == "dëkk ñoppati\n"
 
 
 class TestSuggest:
@@ -134,12 +150,13 @@ class TestSuggest:
         result = invoke(["suggest", "-k", "1", "tank"])
         assert result.stdout.splitlines() == ["tànk\t1"]
 
-    @pytest.mark.parametrize("word", [" ", ""])
+    @pytest.mark.parametrize("word", [" ", "", "dëkk bi"])
     def test_empty_word_is_a_usage_error(self, capsys, word):
         assert run(["suggest", word]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "Usage:" in err
-        assert f"WORD {word!r} is empty" in err
+        fragment = "contains whitespace" if word.strip() else "is empty"
+        assert f"WORD {word!r} {fragment}" in err
 
     def test_costs_ascending(self, invoke):
         result = invoke(["suggest", "deuk"])
@@ -343,6 +360,13 @@ class TestConfigResolution:
         cfg.write_text("bogus = 1\n", encoding="utf-8")
         assert run(["suggest", "--config", str(cfg), "deuk"]) == EXIT_ERROR
 
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("k = 3\n# comment\nk = 0\n", encoding="utf-8")
+        assert run(["suggest", "--config", str(cfg), "deuk"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: duplicate setting 'k'\n")
+
     def test_determinism(self, invoke, tmp_path):
         path = tmp_path / "in.txt"
         path.write_text("Deuk bi sakhar\n", encoding="utf-8")
@@ -402,7 +426,7 @@ class TestContract:
     a one-line-prefixed error, never in an uncaught exception."""
 
     @settings(max_examples=120, deadline=None)
-    @given(target=st.sampled_from(_FILE_OPTIONS + ("corpus",)),
+    @given(target=st.sampled_from(_FILE_OPTIONS + ("corpus", "input")),
            via_env=st.booleans(),
            content=st.one_of(st.lists(st.sampled_from(_FRAGMENTS),
                                       max_size=12).map(b"".join),
@@ -422,6 +446,8 @@ class TestContract:
             env.update(values)
             if target == "corpus":
                 args = ["eval", path]
+            elif target == "input":
+                args = ["check", path]
             elif via_env:
                 args = ["check"]
                 env[f"WOLOFSPELL_{target[2:].upper()}"] = path

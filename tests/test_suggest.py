@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from wolofspell.alphabet import WOLOF_CHARS
 from wolofspell.distance import CostModel, weighted_levenshtein
 from wolofspell.lexicon import TrieDict
-from wolofspell.suggest import EmptyLexiconError, Suggestion, best, suggest
+from wolofspell.suggest import (EmptyLexiconError, Suggestion, _letter_weights,
+                                _penalties, best, suggest)
 
 ALPHABET = sorted(WOLOF_CHARS)
 
@@ -214,12 +215,14 @@ MODELS = (
 )
 
 
+WORD_SETS = st.lists(st.text(SMALL_ALPHABET, min_size=1, max_size=12),
+                     min_size=1, max_size=25)
+QUERIES = st.text(SMALL_ALPHABET + "x", min_size=1, max_size=12)
+
+
 class TestGeneratedTries:
     @settings(max_examples=500, deadline=None)
-    @given(words=st.lists(st.text(SMALL_ALPHABET, min_size=1, max_size=12),
-                          min_size=1, max_size=25),
-           query=st.text(SMALL_ALPHABET + "x", min_size=1, max_size=12),
-           model=st.sampled_from(MODELS),
+    @given(words=WORD_SETS, query=QUERIES, model=st.sampled_from(MODELS),
            k=st.sampled_from((1, 3, 10)),
            max_cost=st.sampled_from((None, 0, 1, 3)))
     def test_matches_linear_scan(self, words, query, model, k, max_cost):
@@ -227,6 +230,32 @@ class TestGeneratedTries:
         expected = linear_scan(query, set(words), model, k, max_cost)
         got = suggest(query, trie, model, k=k, max_cost=max_cost)
         assert [(s.word, s.cost) for s in got.items] == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(words=WORD_SETS, query=QUERIES, model=st.sampled_from(MODELS))
+    def test_penalties_are_admissible(self, words, query, model):
+        # At every node and query position i, the penalty is at most the cost
+        # of turning query[i:] into the rest of any word below the node.
+        trie = TrieDict(words)
+        letters = trie.letters()
+        qbits = [letters.get(q, 0) for q in query]
+        qweights = _letter_weights(query, letters, model.delete,
+                                   model.substitute_cost)
+        lexicon = list(trie.iterate())
+        stack = [(trie.root, "")]
+        while stack:
+            node, prefix = stack.pop()
+            pen = _penalties(qbits, qweights, node.lo, node.hi, node.below,
+                             model.insert, model.delete)
+            assert len(pen) == len(query) + 1
+            for word in lexicon:
+                if word.startswith(prefix):
+                    rest = word[len(prefix):]
+                    for i, least in enumerate(pen):
+                        assert least <= weighted_levenshtein(
+                            query[i:], rest, model), (prefix, rest, i)
+            stack.extend((child, prefix + c)
+                         for c, child in node.children.items())
 
 
 class TestLongWord:
