@@ -20,7 +20,7 @@ from .pipeline import CheckReport, FlaggedBy, SpellChecker, WordResult, WordStat
 from .preprocess import Token, normalize, strip_punctuation
 from .rules import RuleVerdict, Violation, validate
 from .suggest import EmptyLexiconError, Suggestion, SuggestionList, best, suggest
-from .translit import RuleSet, TranslitRule, transform
+from .translit import RuleSet, transform
 
 __version__ = "0.1.0"
 

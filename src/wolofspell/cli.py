@@ -22,10 +22,11 @@ from collections import Counter
 
 from . import load_sample_lexicon
 from .alphabet import UnsegmentableError, segment
-from .distance import CostModel, default_cost_model
+from .distance import CostModel
 from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import load_exclusion_list, normalize, numbered_lines
+from .preprocess import (MalformedInputError, load_exclusion_list, normalize,
+                         numbered_lines)
 from .suggest import suggest as suggest_words
 from .translit import RuleSet
 
@@ -113,7 +114,7 @@ def _build_checker(s: dict, need_words: bool) -> SpellChecker:
         raise MalformedLexiconError(f"{s['lexicon']}: lexicon has no words")
     return SpellChecker(
         lexicon,
-        CostModel.from_file(s["costs"]) if s["costs"] else default_cost_model(),
+        CostModel.from_file(s["costs"]) if s["costs"] else None,
         RuleSet.from_file(s["translit"]) if s["translit"] else None,
         s["k"], s["max_cost"],
         load_exclusion_list(s["exclude"]) if s["exclude"] else frozenset())
@@ -181,12 +182,7 @@ def eval_cmd(args, checker: SpellChecker, fmt: str) -> int:
     """Score the checker against a labeled corpus TSV file."""
     from . import evaluation
 
-    try:
-        entries = evaluation.load_corpus(args.CORPUS)
-    except evaluation.MalformedCorpusError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MALFORMED
-    report = evaluation.evaluate(entries, checker)
+    report = evaluation.evaluate(evaluation.load_corpus(args.CORPUS), checker)
     if fmt == "structured":
         sys.stdout.write(evaluation.format_report_structured(report))
     else:
@@ -260,7 +256,7 @@ def run(argv=None) -> int:
         return done.code
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_MALFORMED if isinstance(err, MalformedLexiconError) else EXIT_ERROR
+        return EXIT_MALFORMED if isinstance(err, MalformedInputError) else EXIT_ERROR
     except KeyboardInterrupt:
         return EXIT_ERROR
 

@@ -99,13 +99,6 @@ class CostModel(NamedTuple):
         return cls(substitution_overrides=table)
 
 
-_DEFAULT_MODEL = CostModel()
-
-
-def default_cost_model() -> CostModel:
-    return _DEFAULT_MODEL
-
-
 def weighted_levenshtein(w1: str, w2: str, model: CostModel | None = None) -> int:
     """Minimum total cost of transforming ``w1`` into ``w2``.
 
@@ -113,7 +106,7 @@ def weighted_levenshtein(w1: str, w2: str, model: CostModel | None = None) -> in
     row/column 0 accumulate insert/delete costs, every other cell takes the
     cheapest of the three transitions.
     """
-    model = model or _DEFAULT_MODEL
+    model = model or CostModel()
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     prev = [j * ins for j in range(len(w2) + 1)]
     for i, a in enumerate(w1, 1):

@@ -23,10 +23,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .distance import plain_edit_distance
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import normalize, numbered_lines
+from .preprocess import MalformedInputError, normalize, numbered_lines
 
 
-class MalformedCorpusError(ValueError):
+class MalformedCorpusError(MalformedInputError):
     """A corpus row breaks the format contract."""
 
 

@@ -15,10 +15,10 @@ import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .preprocess import normalize, numbered_lines
+from .preprocess import MalformedInputError, normalize, numbered_lines
 
 
-class MalformedLexiconError(ValueError):
+class MalformedLexiconError(MalformedInputError):
     """A lexicon word is empty or contains inner whitespace or a digit."""
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import preprocess, rules
-from .distance import CostModel, default_cost_model
+from .distance import CostModel
 from .lexicon import TrieDict
 from .preprocess import Token
 from .suggest import SuggestionList, suggest
@@ -75,11 +75,13 @@ class SpellChecker:
         if max_cost is not None and max_cost < 0:
             raise ValueError("max_cost must not be negative")
         self.lexicon = lexicon
-        self.model = model or default_cost_model()
+        self.model = model or CostModel()
         self.translit_rules = translit_rules
         self.k = k
         self.max_cost = max_cost
-        self.exclude = exclude or frozenset()
+        # normalized like tokens, as TrieDict normalizes its words
+        self.exclude = frozenset(preprocess.normalize(word.strip())
+                                 for word in exclude or ())
         # rules verdicts of lexicon words seen so far; never more entries
         # than the lexicon has words
         self._lexicon_verdicts: dict[str, bool] = {}

@@ -14,6 +14,10 @@ import unicodedata
 from typing import NamedTuple
 
 
+class MalformedInputError(ValueError):
+    """A lexicon or corpus file breaks its format contract."""
+
+
 class Token(NamedTuple):
     surface: str
     position: int

@@ -53,7 +53,7 @@ from itertools import repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .distance import CostModel, default_cost_model
+from .distance import CostModel
 from .lexicon import TrieDict
 
 
@@ -108,7 +108,7 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         raise ValueError("k must be positive")
     if max_cost is not None and max_cost < 0:
         raise ValueError("max_cost must not be negative")
-    model = model or default_cost_model()
+    model = model or CostModel()
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     n = len(query)
     letters = trie.letters() if prune else {}

@@ -3,24 +3,24 @@
 Wolof written with French habits shows compound sounds ("ou" for u, "gn"
 for ñ, "kh" for x...) and letters the Wolof alphabet does not have.  The
 transformer makes a single left-to-right pass over the word: at each
-position the highest-priority longest-matching rule fires and the cursor
-jumps past the matched pattern.  After the pass a word-final silent "e" is
-dropped when it follows a consonant, and any remaining non-Wolof letter is
-deleted.  Letter elimination has to come after rule application: patterns
-like "kh" and "th" contain letters that elimination would destroy.
+position the longest matching pattern fires and the cursor jumps past it.
+After the pass a word-final silent "e" is dropped when it follows a
+consonant, and any remaining non-Wolof letter is deleted.  Letter
+elimination has to come after rule application: patterns like "kh" and
+"th" contain letters that elimination would destroy.
 
-Rules live in a TSV file (``pattern<TAB>replacement<TAB>priority``, lower
-priority fires first, empty replacement deletes the pattern); patterns and
-replacements are lowercased and NFC-composed like tokens (no pattern holds
-whitespace, as no token does).  A rule file replaces the bundled default
-set rather than adding to it: to extend the bundled set, copy
-``data/translit_rules.tsv`` and add rows to the copy.
+Rules live in a TSV file (``pattern<TAB>replacement``, empty replacement
+deletes the pattern); patterns and replacements are lowercased and
+NFC-composed like tokens (no pattern holds whitespace, as no token does).
+A rule file replaces the bundled default set rather than adding to it: to
+extend the bundled set, copy ``data/translit_rules.tsv`` and add rows to
+the copy.
 """
 
 from __future__ import annotations
 
 from importlib import resources
-from typing import NamedTuple
+from typing import Mapping
 
 from .alphabet import WEAK_CONSONANTS, WOLOF_CHARS
 from .preprocess import normalize, numbered_lines
@@ -28,63 +28,40 @@ from .preprocess import normalize, numbered_lines
 MAX_PATTERN_LEN = 4
 
 
-class TranslitRule(NamedTuple):
-    pattern: str
-    replacement: str
-    priority: int = 10
+def _check_pattern(pattern: str) -> None:
+    if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
+        raise ValueError(f"pattern {pattern!r} is not 1 to {MAX_PATTERN_LEN} letters")
+    if any(c.isspace() for c in pattern):
+        raise ValueError(f"whitespace in pattern {pattern!r}")
 
 
 class RuleSet:
-    """Ordered transliteration rules: by priority, longest pattern first."""
+    """Transliteration rules: each pattern maps to its replacement."""
 
-    def __init__(self, rules):
-        rules = list(rules)
-        seen = set()
-        for rule in rules:
-            if not rule.pattern:
-                raise ValueError("empty pattern")
-            if rule.pattern in seen:
-                raise ValueError(f"duplicate pattern {rule.pattern!r}")
-            seen.add(rule.pattern)
-        self.rules = sorted(rules, key=lambda r: (r.priority, -len(r.pattern)))
-
-    def match_at(self, word: str, i: int) -> TranslitRule | None:
-        for rule in self.rules:
-            if word.startswith(rule.pattern, i):
-                return rule
-        return None
+    def __init__(self, rules: Mapping[str, str]):
+        self.rules = dict(rules)
+        for pattern in self.rules:
+            _check_pattern(pattern)
 
     @classmethod
     def from_file(cls, path) -> "RuleSet":
-        rules = []
-        seen = set()
+        rules = {}
         for lineno, line in numbered_lines(path):
             line = line.split("#", 1)[0].rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected pattern<TAB>replacement<TAB>priority")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected pattern<TAB>replacement")
             pattern, replacement = normalize(parts[0]), normalize(parts[1])
-            if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
-                raise ValueError(f"{path}:{lineno}: pattern length out of range")
-            if any(c.isspace() for c in pattern):
-                raise ValueError(f"{path}:{lineno}: whitespace in pattern {pattern!r}")
-            if pattern in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate pattern {pattern!r}")
-            seen.add(pattern)
             try:
-                priority = int(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: priority {parts[2]!r} is "
-                                 f"not an integer") from None
-            rules.append(TranslitRule(pattern, replacement, priority))
+                _check_pattern(pattern)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            if pattern in rules:
+                raise ValueError(f"{path}:{lineno}: duplicate pattern {pattern!r}")
+            rules[pattern] = replacement
         return cls(rules)
-
-    @classmethod
-    def default(cls) -> "RuleSet":
-        return _default_ruleset()
 
 
 _DEFAULT: RuleSet | None = None
@@ -105,15 +82,17 @@ def transform(word: str, rules: RuleSet | None = None) -> str:
     May return an empty string when nothing of the word survives letter
     elimination.
     """
-    rules = rules or _default_ruleset()
+    table = (_default_ruleset() if rules is None else rules).rules
 
     out = []
-    i = 0
-    while i < len(word):
-        rule = rules.match_at(word, i)
-        if rule is not None:
-            out.append(rule.replacement)
-            i += len(rule.pattern)
+    i, n = 0, len(word)
+    while i < n:
+        for size in range(min(MAX_PATTERN_LEN, n - i), 0, -1):
+            replacement = table.get(word[i:i + size])
+            if replacement is not None:
+                out.append(replacement)
+                i += size
+                break
         else:
             out.append(word[i])
             i += 1

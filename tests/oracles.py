@@ -5,6 +5,8 @@ alphabet tables and definitions, without importing the package's own
 inventories or algorithms, so that a bug in the package cannot hide itself.
 """
 
+import re
+
 WEAK = {"p", "t", "c", "k", "q", "b", "d", "j", "g", "m",
         "n", "ñ", "ŋ", "f", "r", "s", "x", "w", "l", "y"}
 GEMINATE = {"pp", "tt", "cc", "kk", "bb", "dd", "jj", "gg",
@@ -120,3 +122,20 @@ def lev_recursive(w1: str, w2: str) -> int:
     return min(lev_recursive(w1[:-1], w2) + 1,
                lev_recursive(w1, w2[:-1]) + 1,
                lev_recursive(w1[:-1], w2[:-1]) + (w1[-1] != w2[-1]))
+
+
+def transliterate(word: str, rules: dict[str, str]) -> str:
+    """Rule rewriting by one regular expression, then the final-"e" drop
+    and letter elimination.
+
+    The patterns are tried longest first at each position, as alternatives
+    of a single ``re.sub`` scanning left to right, so a replacement is never
+    rewritten again.
+    """
+    if rules:
+        patterns = sorted(rules, key=len, reverse=True)
+        word = re.sub("|".join(map(re.escape, patterns)),
+                      lambda m: rules[m.group()], word)
+    if word.endswith("e") and len(word) >= 2 and word[-2] in WEAK:
+        word = word[:-1]
+    return "".join(c for c in word if c in CHARS)

@@ -127,13 +127,20 @@ class TestCheck:
 
     def test_translit_file_replaces_bundled_rules(self, invoke, tmp_path):
         rules = tmp_path / "one.tsv"
-        rules.write_text("gn\tñ\t1\n", encoding="utf-8")
+        rules.write_text("gn\tñ\n", encoding="utf-8")
         result = invoke(["check", "--translit", str(rules)],
                         input="deuk gnopati\n")
         assert result.exit_code == 0
         # Without the bundled "eu" -> "ë" rule, "deuk" no longer becomes "dëkk".
         assert result.stdout == "dee ñoppati\n"
         assert invoke(["check"], input="deuk gnopati\n").stdout == "dëkk ñoppati\n"
+
+    def test_translit_row_with_three_columns_names_line(self, tmp_path, capsys):
+        rules = tmp_path / "three.tsv"
+        rules.write_text("gn\tñ\t1\n", encoding="utf-8")
+        assert run(["check", "--translit", str(rules), "-"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {rules}:1: expected pattern<TAB>replacement\n")
 
 
 class TestSuggest:

@@ -82,6 +82,12 @@ class TestCheckWord:
         checker = SpellChecker(sample_lexicon, exclude=frozenset({"bonjour"}))
         assert checker.check_word("bonjour").status is WordStatus.DROPPED
 
+    def test_exclusion_list_normalized_like_tokens(self, sample_lexicon):
+        # tokens are lowercased and NFC-composed, so the entries must be too
+        checker = SpellChecker(sample_lexicon,
+                               exclude=frozenset({"Deuk", " Bonjour "}))
+        assert checker.check_text("Deuk bi bonjour").corrected_text == "bi"
+
     def test_rule_failure_bypasses_lexicon(self):
         # "saakk" breaks the long-vowel rule; even as a lexicon member it
         # must be flagged, and by the rules gate, not the lexicon.

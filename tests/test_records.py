@@ -14,7 +14,6 @@ from wolofspell.pipeline import CheckReport, FlaggedBy, WordResult, WordStatus
 from wolofspell.preprocess import Token
 from wolofspell.rules import INITIAL_STRONG, RuleVerdict, Violation
 from wolofspell.suggest import Suggestion, SuggestionList, suggest
-from wolofspell.translit import TranslitRule
 
 TOKEN = Token("deuk", 0)
 COUNTS = ConfusionCounts(1, 0, 0, 2)
@@ -33,8 +32,6 @@ RECORDS = [
     (RuleVerdict, ("valid", "violations"), {"violations": ()},
      (False, (Violation(INITIAL_STRONG, 0),))),
     (Suggestion, ("word", "cost"), {}, ("dëkk", 1)),
-    (TranslitRule, ("pattern", "replacement", "priority"), {"priority": 10},
-     ("ou", "u", 5)),
     (WordResult, ("original", "status", "corrected", "suggestions", "flagged_by"),
      {"corrected": None, "suggestions": None, "flagged_by": None},
      (TOKEN, WordStatus.CORRECTED, "dëkk", SUGGESTIONS, FlaggedBy.LEXICON)),

@@ -1,12 +1,15 @@
+import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolofspell.alphabet import WOLOF_CHARS
 from wolofspell.distance import weighted_levenshtein
-from wolofspell.translit import RuleSet, TranslitRule, transform
+from wolofspell.translit import RuleSet, _default_ruleset, transform
 
+import oracles
 from conftest import KNOWN_MISSPELLINGS
 
 
@@ -63,60 +66,55 @@ class TestTransform:
 
 class TestRuleSet:
     def test_longest_pattern_wins_within_priority(self):
-        rules = RuleSet([
-            TranslitRule("g", "k", 10),
-            TranslitRule("gu", "w", 10),
-        ])
+        rules = RuleSet({"g": "k", "gu": "w"})
         assert transform("gui", rules) == "wi"
 
-    def test_lower_priority_fires_first(self):
-        rules = RuleSet([
-            TranslitRule("ab", "x", 20),
-            TranslitRule("a", "o", 10),
-        ])
-        # priority 10 wins at position 0 even though "ab" is longer
-        assert transform("ab", rules) == "ob"
-
     def test_single_pass_no_reapplication(self):
-        rules = RuleSet([TranslitRule("a", "aa", 10)])
+        rules = RuleSet({"a": "aa"})
         assert transform("aa", rules) == "aaaa"
-
-    def test_duplicate_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            RuleSet([TranslitRule("a", "b"), TranslitRule("a", "c")])
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
-            RuleSet([TranslitRule("", "b")])
+            RuleSet({"": "b"})
+
+    def test_pattern_longer_than_four_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="pattern 'abcde'"):
+            RuleSet({"abcde": "x"})
+        path = tmp_path / "rules.tsv"
+        path.write_text("h\t\nabcde\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:2: pattern 'abcde'")):
+            RuleSet.from_file(path)
+
+    def test_empty_rule_set_rewrites_nothing(self):
+        # no fallback to the bundled rules: only letter elimination runs
+        assert transform("khoul", RuleSet({})) == "koul"
+        assert transform("khoul") == "xul"
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "rules.tsv"
-        path.write_text("# test rules\nou\tu\t10\nh\t\t20\n", encoding="utf-8")
+        path.write_text("# test rules\nou\tu\nh\t\n", encoding="utf-8")
         rules = RuleSet.from_file(path)
         assert transform("khoul", rules) == "kul"
 
     def test_empty_replacement_deletes(self, tmp_path):
         path = tmp_path / "rules.tsv"
-        path.write_text("h\t\t10\n", encoding="utf-8")
+        path.write_text("h\t\n", encoding="utf-8")
         rules = RuleSet.from_file(path)
         assert transform("haha", rules) == "aa"
 
     def test_bad_column_count_rejected(self, tmp_path):
         path = tmp_path / "rules.tsv"
-        path.write_text("ou\tu\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            RuleSet.from_file(path)
-
-    def test_non_integer_priority_names_line(self, tmp_path):
-        path = tmp_path / "rules.tsv"
-        path.write_text("h\t\t10\nou\tu\tx\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: priority 'x'")):
-            RuleSet.from_file(path)
+        for row in ("ou", "ou\tu\t10"):
+            path.write_text(f"h\t\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:2: expected pattern<TAB>replacement")):
+                RuleSet.from_file(path)
 
     def test_duplicate_pattern_in_file_names_line(self, tmp_path):
         # OU and ou are the same pattern once normalized
         path = tmp_path / "rules.tsv"
-        path.write_text("OU\tu\t10\nou\tw\t10\n", encoding="utf-8")
+        path.write_text("OU\tu\nou\tw\n", encoding="utf-8")
         with pytest.raises(ValueError,
                            match=re.escape(f"{path}:2: duplicate pattern 'ou'")):
             RuleSet.from_file(path)
@@ -124,20 +122,43 @@ class TestRuleSet:
     def test_pattern_with_whitespace_names_line(self, tmp_path):
         # no token holds whitespace, so such a pattern could never fire
         path = tmp_path / "rules.tsv"
-        for row, pattern in ((" ou\tu\t1", "' ou'"), ("o u\tu\t1", "'o u'"),
-                             ("ou\u00a0\tu\t1", "'ou\\xa0'")):
-            path.write_text(f"h\t\t10\n{row}\n", encoding="utf-8")
+        for row, pattern in ((" ou\tu", "' ou'"), ("o u\tu", "'o u'"),
+                             ("ou\u00a0\tu", "'ou\\xa0'")):
+            path.write_text(f"h\t\n{row}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=re.escape(
                     f"{path}:2: whitespace in pattern {pattern}")):
                 RuleSet.from_file(path)
 
     def test_rules_normalized_like_tokens(self, tmp_path):
         path = tmp_path / "rules.tsv"
-        path.write_text("OU\tU\t10\n", encoding="utf-8")
+        path.write_text("OU\tU\n", encoding="utf-8")
         rules = RuleSet.from_file(path)
-        assert [(r.pattern, r.replacement) for r in rules.rules] == [("ou", "u")]
+        assert rules.rules == {"ou": "u"}
         assert transform("mousiba", rules) == "musiba"
 
     def test_default_rules_load(self):
-        rules = RuleSet.default()
-        assert any(r.pattern == "ou" for r in rules.rules)
+        rules = _default_ruleset()
+        assert rules.rules["ou"] == "u"
+        assert transform("mousiba") == transform("mousiba", rules)
+
+
+RULE_MAPS = st.dictionaries(st.text("aehk", min_size=1, max_size=4),
+                            st.text("aeëkx", max_size=3), max_size=6)
+
+
+class TestAgainstOracle:
+    """``transform`` against ``oracles.transliterate``, which rewrites with
+    one regular expression instead of the per-position lookups."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rules=RULE_MAPS, word=st.text("aehkx", max_size=12))
+    def test_generated_rules(self, rules, word):
+        assert transform(word, RuleSet(rules)) == oracles.transliterate(word, rules)
+
+    def test_bundled_rules_on_every_short_string(self):
+        rules = _default_ruleset().rules
+        letters = sorted(set("".join(rules)))
+        for size in range(1, 5):
+            for chars in itertools.product(letters, repeat=size):
+                word = "".join(chars)
+                assert transform(word) == oracles.transliterate(word, rules), word
