@@ -5,7 +5,7 @@ lexicon; correction rewrites French-influenced spellings, then ranks
 lexicon words by weighted edit distance computed along the trie.
 """
 
-from importlib import resources
+import os
 
 from .alphabet import (
     Grapheme,
@@ -17,7 +17,7 @@ from .alphabet import (
 from .distance import CostModel, plain_edit_distance, weighted_levenshtein
 from .lexicon import MalformedLexiconError, TrieDict, load
 from .pipeline import CheckReport, FlaggedBy, SpellChecker, WordResult, WordStatus
-from .preprocess import Token, normalize, strip_punctuation
+from .preprocess import DATA_DIR, Token, normalize, strip_punctuation
 from .rules import RuleVerdict, Violation, validate
 from .suggest import EmptyLexiconError, Suggestion, SuggestionList, best, suggest
 from .translit import RuleSet, transform
@@ -40,11 +40,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def sample_lexicon_path():
-    """Path-like handle on the bundled sample lexicon."""
-    return resources.files("wolofspell").joinpath("data/sample_lexicon.txt")
+def sample_lexicon_path() -> str:
+    """Path of the bundled sample lexicon."""
+    return os.path.join(DATA_DIR, "sample_lexicon.txt")
 
 
 def load_sample_lexicon() -> TrieDict:
-    with resources.as_file(sample_lexicon_path()) as path:
-        return load(path)
+    return load(sample_lexicon_path())

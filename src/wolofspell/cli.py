@@ -25,8 +25,8 @@ from .alphabet import UnsegmentableError, segment
 from .distance import CostModel
 from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import (MalformedInputError, load_exclusion_list, normalize,
-                         numbered_lines)
+from .preprocess import (MalformedInputError, content_lines,
+                         load_exclusion_list, normalize)
 from .suggest import suggest as suggest_words
 from .translit import RuleSet
 
@@ -68,16 +68,12 @@ _SETTINGS = {
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` config lines; '#' comments; unknown or repeated
-    keys rejected."""
+    """Flat ``key = value`` config lines; unknown or repeated keys rejected."""
     values = {}
-    for lineno, line in numbered_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    for lineno, text in content_lines(path):
+        if "=" not in text:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
+        key, _, value = text.partition("=")
         key = key.strip()
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .preprocess import normalize, numbered_lines
+from .preprocess import content_lines, normalize
 
 
 DEFAULT_SUBSTITUTION_PAIRS = (
@@ -65,17 +65,14 @@ class CostModel(NamedTuple):
     def from_file(cls, path) -> "CostModel":
         """Load substitution overrides: ``char1<TAB>char2<TAB>cost`` lines.
 
-        Unlisted unequal pairs keep the default cost of 2.  ``#`` starts a
-        comment; blank lines are ignored.  Characters are lowercased and
-        NFC-composed like tokens, and each must then be a single scalar.
-        The two must differ, and a couple is given once: its cost holds both ways.
+        Unlisted unequal pairs keep the default cost of 2.  Characters are
+        lowercased and NFC-composed like tokens, and each must then be a
+        single scalar.  The two must differ, and a couple is given once: its
+        cost holds both ways.
         """
         table: dict[tuple[str, str], int] = {}
-        for lineno, line in numbered_lines(path):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
+        for lineno, text in content_lines(path):
+            parts = text.strip().split("\t")
             if len(parts) != 3:
                 raise ValueError(
                     f"{path}:{lineno}: expected char1<TAB>char2<TAB>cost")

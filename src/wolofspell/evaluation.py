@@ -2,14 +2,15 @@
 
 The labeled corpus is a TSV file of ``word<TAB>label[<TAB>gold]`` rows
 (word non-empty; label ``valid`` or ``invalid``, case-insensitive; gold
-required exactly when invalid).  Each entry runs through a ``SpellChecker``, whose own
-depth ``k`` sets the suggestion lists scored; a word the checker
-leaves untouched counts as recognized-correct, anything flagged counts as
-recognized-incorrect.  From the four confusion counts come lexical and
-error recall/precision/F-measure and predictive accuracy; suggestion
-adequacy is top-1 accuracy of the correction over the invalid entries and
-mean reciprocal rank scores the whole ranked list (a gold missing from the
-list contributes rank infinity, i.e. zero).
+required exactly when invalid; no whitespace inside word or gold; ``#``
+starts a comment, as in every input file).  Each entry runs through a
+``SpellChecker``, whose own depth ``k`` sets the suggestion lists scored; a
+word the checker leaves untouched counts as recognized-correct, anything
+flagged counts as recognized-incorrect.  From the four confusion counts
+come lexical and error recall/precision/F-measure and predictive accuracy;
+suggestion adequacy is top-1 accuracy of the correction over the invalid
+entries and mean reciprocal rank scores the whole ranked list (a gold
+missing from the list contributes rank infinity, i.e. zero).
 
 Edit-distance histograms bucket the invalid entries by the plain unit-cost
 distance between misspelling and gold: one over all invalid entries, one
@@ -23,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .distance import plain_edit_distance
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import MalformedInputError, normalize, numbered_lines
+from .preprocess import MalformedInputError, content_lines, normalize
 
 
 class MalformedCorpusError(MalformedInputError):
@@ -95,36 +96,39 @@ def compute_metrics(counts: ConfusionCounts) -> DetectionMetrics:
     )
 
 
+def _entry(parts: list[str]) -> CorpusEntry:
+    """A corpus row from its columns; a bad row raises the reason alone."""
+    if len(parts) > 3:
+        raise MalformedCorpusError("extra columns")
+    if len(parts) < 2:
+        raise MalformedCorpusError("missing label column")
+    word = normalize(parts[0].strip())
+    if not word:
+        raise MalformedCorpusError("empty word")
+    label = parts[1].strip().lower()
+    if label not in ("valid", "invalid"):
+        raise MalformedCorpusError(f"unknown label {label!r}")
+    gold = normalize(parts[2].strip()) if len(parts) == 3 else ""
+    if label == "valid" and gold:
+        raise MalformedCorpusError("gold on a valid row")
+    if label == "invalid" and not gold:
+        raise MalformedCorpusError("invalid row missing gold")
+    if gold == word:
+        raise MalformedCorpusError("gold equals the word")
+    for column, text in (("word", word), ("gold", gold)):
+        if len(text.split()) > 1:
+            raise MalformedCorpusError(f"whitespace inside {column} {text!r}")
+    return CorpusEntry(word, label == "valid", gold or None)
+
+
 def load_corpus(path) -> list[CorpusEntry]:
     """Parse a corpus TSV file into entries; a file without any is malformed."""
     entries = []
-    for lineno, line in numbered_lines(path, MalformedCorpusError):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        where = f"{path}:{lineno}"
-        if len(parts) > 3:
-            raise MalformedCorpusError(f"{where}: extra columns")
-        if len(parts) < 2:
-            raise MalformedCorpusError(f"{where}: missing label column")
-        word = normalize(parts[0].strip())
-        if not word:
-            raise MalformedCorpusError(f"{where}: empty word")
-        label = parts[1].strip().lower()
-        if label not in ("valid", "invalid"):
-            raise MalformedCorpusError(f"{where}: unknown label {label!r}")
-        if label == "valid":
-            if len(parts) == 3 and parts[2].strip():
-                raise MalformedCorpusError(f"{where}: gold on a valid row")
-            entries.append(CorpusEntry(word, valid=True))
-        else:
-            if len(parts) < 3 or not parts[2].strip():
-                raise MalformedCorpusError(f"{where}: invalid row missing gold")
-            gold = normalize(parts[2].strip())
-            if gold == word:
-                raise MalformedCorpusError(f"{where}: gold equals the word")
-            entries.append(CorpusEntry(word, valid=False, gold=gold))
+    for lineno, text in content_lines(path, MalformedCorpusError):
+        try:
+            entries.append(_entry(text.split("\t")))
+        except MalformedCorpusError as err:
+            raise MalformedCorpusError(f"{path}:{lineno}: {err}") from None
     if not entries:
         raise MalformedCorpusError(f"{path}: corpus has no entries")
     return entries
@@ -140,8 +144,12 @@ def histogram(entries: Iterable[CorpusEntry]) -> dict[int, tuple[int, float]]:
 
     Valid entries are skipped.
     """
-    counts = _buckets(plain_edit_distance(entry.word, entry.gold)
-                      for entry in entries if not entry.valid)
+    return _with_shares(_buckets(plain_edit_distance(entry.word, entry.gold)
+                                 for entry in entries if not entry.valid))
+
+
+def _with_shares(counts: dict[int, int]) -> dict[int, tuple[int, float]]:
+    """Each bucket's count and its percentage of all the buckets' counts."""
     total = sum(counts.values())
     return {d: (n, 100.0 * n / total) for d, n in counts.items()}
 
@@ -227,10 +235,9 @@ def format_report(report: EvalReport) -> str:
                        ("wrong corrections", report.histogram_wrong)):
         lines.append("")
         lines.append(f"Edit distance histogram ({name}):")
-        total = sum(hist.values())
-        for d, n in hist.items():
-            lines.append(f"  {d:>3} {n:>6} {100 * n / total:>7.2f}%")
-        lines.append(f"  all {total:>6}")
+        for d, (n, share) in _with_shares(hist).items():
+            lines.append(f"  {d:>3} {n:>6} {share:>7.2f}%")
+        lines.append(f"  all {sum(hist.values()):>6}")
     return "\n".join(lines)
 
 

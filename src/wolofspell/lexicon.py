@@ -4,9 +4,9 @@
 NFC-composed, and an empty word, or one with inner whitespace or a digit,
 raises ``MalformedLexiconError``.  ``load(path)`` reads a lexicon file
 through the same check: one word per line, UTF-8, LF or CRLF endings,
-blank lines and ``#`` comments ignored.  Duplicate words collapse silently.
-Membership follows the character path from the root node (the empty
-string) and requires it to end on a node where a word ends.
+blank lines ignored and ``#`` starting a comment anywhere in a line.
+Duplicate words collapse silently.  Membership follows the character path
+from the root node (the empty string) and must end where a word ends.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .preprocess import MalformedInputError, normalize, numbered_lines
+from .preprocess import MalformedInputError, content_lines, normalize
 
 
 class MalformedLexiconError(MalformedInputError):
@@ -171,10 +171,7 @@ def load(path) -> TrieDict:
     UTF-8, and the usual OSError when the file cannot be read.
     """
     trie = TrieDict()
-    for lineno, line in numbered_lines(path, MalformedLexiconError):
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
+    for lineno, word in content_lines(path, MalformedLexiconError):
         try:
             trie._insert(word)
         except MalformedLexiconError as err:

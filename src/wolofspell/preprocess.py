@@ -6,10 +6,15 @@ result is split on whitespace into tokens (``SpellChecker.check_text`` does
 the split).  Tokens containing digits are dropped.  An optional exclusion
 list (for filtering known foreign words) can drop further tokens; it is off
 unless a list is supplied.
+
+Every input file (lexicon, corpus, costs, transliteration rules, config,
+exclusion list) is UTF-8 read through ``content_lines``, where ``#`` starts
+a comment that runs to the end of the line.  Bundled files are in ``DATA_DIR``.
 """
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from typing import NamedTuple
 
@@ -39,23 +44,26 @@ def contains_digit(word: str) -> bool:
     return not word.isalpha() and any(c.isdigit() for c in word)
 
 
-def numbered_lines(path, error=ValueError):
-    """``(line number, line)`` pairs of a UTF-8 text file, numbered from 1.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-    Bytes that are not UTF-8 raise ``error`` naming the path.
+
+def content_lines(path, error=ValueError):
+    """``(line number, text)`` for each line of a UTF-8 file, numbered from 1.
+
+    ``text`` is the line up to its first ``#``, without the newline and not
+    otherwise stripped; a line left blank is skipped.  Bytes that are not
+    UTF-8 raise ``error`` naming the path.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            yield from enumerate(fh, 1)
+            for lineno, line in enumerate(fh, 1):
+                text = line.partition("#")[0].rstrip("\n")
+                if text.strip():
+                    yield lineno, text
         except UnicodeDecodeError as err:
             raise error(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def load_exclusion_list(path) -> frozenset[str]:
-    """Read an exclusion list: one word per line, ``#`` comments, UTF-8."""
-    words = set()
-    for _, line in numbered_lines(path):
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.add(normalize(word))
-    return frozenset(words)
+    """Read an exclusion list: one word per line."""
+    return frozenset(normalize(text.strip()) for _, text in content_lines(path))

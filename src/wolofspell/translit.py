@@ -11,19 +11,19 @@ elimination has to come after rule application: patterns like "kh" and
 
 Rules live in a TSV file (``pattern<TAB>replacement``, empty replacement
 deletes the pattern); patterns and replacements are lowercased and
-NFC-composed like tokens (no pattern holds whitespace, as no token does).
-A rule file replaces the bundled default set rather than adding to it: to
-extend the bundled set, copy ``data/translit_rules.tsv`` and add rows to
-the copy.
+NFC-composed like tokens, a replacement is trimmed, and no pattern holds
+whitespace, as no token does.  A rule file replaces the bundled default
+set rather than adding to it: to extend the bundled set, copy
+``data/translit_rules.tsv`` and add rows to the copy.
 """
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 from typing import Mapping
 
 from .alphabet import WEAK_CONSONANTS, WOLOF_CHARS
-from .preprocess import normalize, numbered_lines
+from .preprocess import DATA_DIR, content_lines, normalize
 
 MAX_PATTERN_LEN = 4
 
@@ -46,14 +46,11 @@ class RuleSet:
     @classmethod
     def from_file(cls, path) -> "RuleSet":
         rules = {}
-        for lineno, line in numbered_lines(path):
-            line = line.split("#", 1)[0].rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
+        for lineno, text in content_lines(path):
+            parts = text.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected pattern<TAB>replacement")
-            pattern, replacement = normalize(parts[0]), normalize(parts[1])
+            pattern, replacement = normalize(parts[0]), normalize(parts[1].strip())
             try:
                 _check_pattern(pattern)
             except ValueError as err:
@@ -70,9 +67,7 @@ _DEFAULT: RuleSet | None = None
 def _default_ruleset() -> RuleSet:
     global _DEFAULT
     if _DEFAULT is None:
-        path = resources.files("wolofspell").joinpath("data/translit_rules.tsv")
-        with resources.as_file(path) as p:
-            _DEFAULT = RuleSet.from_file(p)
+        _DEFAULT = RuleSet.from_file(os.path.join(DATA_DIR, "translit_rules.tsv"))
     return _DEFAULT
 
 

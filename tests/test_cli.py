@@ -285,6 +285,16 @@ class TestColdStart:
             input="deuk bi\n")
         assert proc.stdout == "False\ndëkk bi\n0 False\n", proc.stderr
 
+    def test_bundled_data_read_without_importlib_resources(self):
+        # -S: some hosts' site hooks import importlib.resources themselves
+        proc = fresh_python(
+            "-S", "-c", "import sys, wolofspell.cli; "
+            "wolofspell.load_sample_lexicon(); "
+            "code = wolofspell.cli.run(['check']); "
+            "print(code, 'importlib.resources' in sys.modules)",
+            input="deuk bi\n")
+        assert proc.stdout == "dëkk bi\n0 False\n", proc.stderr
+
     def test_import_builds_one_dataclass(self):
         # the records are named tuples; only SuggestionList runs the decorator
         proc = fresh_python(

@@ -70,6 +70,17 @@ class TestLoadCorpus:
         with pytest.raises(MalformedCorpusError):
             load_corpus(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("deuk bi\tvalid", "whitespace inside word 'deuk bi'"),
+        ("deuk\tinvalid\tdëkk bi", "whitespace inside gold 'dëkk bi'"),
+        ("Deuk\u00a0Bi\tinvalid\tdëkk", "whitespace inside word 'deuk\\xa0bi'"),
+    ])
+    def test_inner_whitespace_rejected_naming_line(self, tmp_path, row, message):
+        path = write_corpus(tmp_path, ["dëkk\tvalid", row])
+        with pytest.raises(MalformedCorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
 
 class TestComputeMetrics:
     def test_reference_counts(self):

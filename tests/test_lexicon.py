@@ -84,8 +84,9 @@ class TestLoad:
 
     def test_word_list_builds_the_same_trie(self):
         path = sample_lexicon_path()
-        lines = [line for line in path.read_text(encoding="utf-8").splitlines()
-                 if line.strip() and not line.startswith("#")]
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines()
+                     if line.strip() and not line.startswith("#")]
         from_list, from_file = TrieDict(lines), load(path)
         assert list(from_list.iterate()) == list(from_file.iterate())
         assert from_list.node_count() == from_file.node_count()

@@ -6,12 +6,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wolofspell.cli import read_config_file
+from wolofspell.distance import CostModel
+from wolofspell.evaluation import CorpusEntry, load_corpus
+from wolofspell.lexicon import load
 from wolofspell.preprocess import (
     contains_digit,
     load_exclusion_list,
     normalize,
     strip_punctuation,
 )
+from wolofspell.translit import RuleSet
 
 
 class TestStripPunctuation:
@@ -84,3 +89,34 @@ class TestContainsDigit:
                                   st.characters(categories=("Nd", "No")))))
     def test_matches_scan(self, word):
         assert contains_digit(word) == any(c.isdigit() for c in word)
+
+
+# Each loader with its last two rows, and what it parses from a file of a
+# whole-line comment, a blank line, the first row ending in CRLF and the
+# second carrying a trailing "# note".
+LOADERS = {
+    "lexicon": (lambda path: list(load(path)), "Dëkk", "bi",
+                ["bi", "dëkk"]),
+    "corpus": (load_corpus, "dëkk\tvalid", "deuk\tinvalid\tdëkk",
+               [CorpusEntry("dëkk", valid=True),
+                CorpusEntry("deuk", valid=False, gold="dëkk")]),
+    "costs": (lambda path: CostModel.from_file(path).substitution_overrides,
+              "a\tà\t1", "x\tq\t3",
+              {("a", "à"): 1, ("à", "a"): 1, ("x", "q"): 3, ("q", "x"): 3}),
+    "translit": (lambda path: RuleSet.from_file(path).rules, "ou\tu", "e\t",
+                 {"ou": "u", "e": ""}),
+    "config": (read_config_file, "k = 3", "max_cost = 2",
+               {"k": "3", "max_cost": "2"}),
+    "exclude": (load_exclusion_list, "Bonjour", "merci",
+                frozenset({"bonjour", "merci"})),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_loader_reads_comments_blanks_and_crlf_alike(tmp_path, name):
+    parse, first, second, expected = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(f"# {name} file\n\n{first}\r\n{second}  # note\n"
+                     .encode("utf-8"))
+    assert parse(path) == expected
+
