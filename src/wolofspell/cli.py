@@ -26,7 +26,7 @@ from .distance import CostModel
 from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
 from .preprocess import (MalformedInputError, content_lines,
-                         load_exclusion_list, normalize)
+                         load_exclusion_list, word)
 from .suggest import suggest as suggest_words
 from .translit import RuleSet
 
@@ -67,19 +67,22 @@ _SETTINGS = {
 }
 
 
+def _config_row(text: str) -> tuple[str, str]:
+    key, equals, value = (part.strip() for part in text.partition("="))
+    if not equals:
+        raise ValueError("expected key = value")
+    if key not in _SETTINGS:
+        raise ValueError(f"unknown setting {key!r}")
+    return key, value
+
+
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` config lines; unknown or repeated keys rejected."""
     values = {}
-    for lineno, text in content_lines(path):
-        if "=" not in text:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in _SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+    for lineno, (key, value) in content_lines(path, _config_row):
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate setting {key!r}")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 
@@ -122,7 +125,7 @@ def check(args, checker: SpellChecker, fmt: str) -> int:
     The corrected text goes to stdout; one diagnostic line per flagged
     token goes to stderr (position, original, status, replacement).
     """
-    # strict UTF-8 with universal newlines, from a file or from stdin
+    # strict UTF-8 less one leading BOM, universal newlines, file or stdin
     if args.INPUT == "-":
         name, data = "<stdin>", sys.stdin.buffer.read()
     else:
@@ -132,7 +135,7 @@ def check(args, checker: SpellChecker, fmt: str) -> int:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as err:
         raise ValueError(f"{name}: not UTF-8 text ({err.reason})") from None
-    report = checker.check_text(text)
+    report = checker.check_text(text.removeprefix("\ufeff"))
     # corrected_text carries the input's own line breaks, trailing one included
     sys.stdout.write(report.corrected_text)
     for result in report.results:
@@ -156,11 +159,7 @@ def check(args, checker: SpellChecker, fmt: str) -> int:
 
 def suggest(args, checker: SpellChecker, fmt: str) -> int:
     """Print up to k suggestions for WORD as word<TAB>cost lines."""
-    norm = normalize(args.WORD).strip()
-    if not norm:
-        args.parser.error(f"WORD {args.WORD!r} is empty after normalization")
-    if any(c.isspace() for c in norm):
-        args.parser.error(f"WORD {args.WORD!r} contains whitespace")
+    norm = word(args.WORD, args.parser.error, "WORD")  # a usage error if not one
     result = checker.check_word(norm)
     if result.status is WordStatus.CORRECT:
         candidates = suggest_words(norm, checker.lexicon, checker.model,

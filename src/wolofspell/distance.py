@@ -71,29 +71,29 @@ class CostModel(NamedTuple):
         cost holds both ways.
         """
         table: dict[tuple[str, str], int] = {}
-        for lineno, text in content_lines(path):
-            parts = text.strip().split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected char1<TAB>char2<TAB>cost")
-            a, b = normalize(parts[0]), normalize(parts[1])
-            if len(a) != 1 or len(b) != 1:
-                raise ValueError(
-                    f"{path}:{lineno}: {a!r} and {b!r} must be one "
-                    f"character each")
-            if a == b:
-                raise ValueError(f"{path}:{lineno}: {a!r} is paired with itself")
+        for lineno, (a, b, cost) in content_lines(path, _cost_row):
             if (a, b) in table:
                 raise ValueError(f"{path}:{lineno}: duplicate couple {a!r}, {b!r}")
-            try:
-                cost = int(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: cost {parts[2]!r} is "
-                                 f"not an integer") from None
-            if cost < 0:
-                raise ValueError(f"{path}:{lineno}: negative cost")
             table[a, b] = table[b, a] = cost
         return cls(substitution_overrides=table)
+
+
+def _cost_row(text: str) -> tuple[str, str, int]:
+    parts = text.strip().split("\t")
+    if len(parts) != 3:
+        raise ValueError("expected char1<TAB>char2<TAB>cost")
+    a, b = normalize(parts[0]), normalize(parts[1])
+    if len(a) != 1 or len(b) != 1:
+        raise ValueError(f"{a!r} and {b!r} must be one character each")
+    if a == b:
+        raise ValueError(f"{a!r} is paired with itself")
+    try:
+        cost = int(parts[2])
+    except ValueError:
+        raise ValueError(f"cost {parts[2]!r} is not an integer") from None
+    if cost < 0:
+        raise ValueError("negative cost")
+    return a, b, cost
 
 
 def weighted_levenshtein(w1: str, w2: str, model: CostModel | None = None) -> int:

@@ -1,16 +1,17 @@
 """Evaluation harness: corpus loading, confusion counts, the metric suite.
 
-The labeled corpus is a TSV file of ``word<TAB>label[<TAB>gold]`` rows
-(word non-empty; label ``valid`` or ``invalid``, case-insensitive; gold
-required exactly when invalid; no whitespace inside word or gold; ``#``
-starts a comment, as in every input file).  Each entry runs through a
-``SpellChecker``, whose own depth ``k`` sets the suggestion lists scored; a
-word the checker leaves untouched counts as recognized-correct, anything
-flagged counts as recognized-incorrect.  From the four confusion counts
-come lexical and error recall/precision/F-measure and predictive accuracy;
-suggestion adequacy is top-1 accuracy of the correction over the invalid
-entries and mean reciprocal rank scores the whole ranked list (a gold
-missing from the list contributes rank infinity, i.e. zero).
+The labeled corpus is a TSV file of ``word<TAB>label[<TAB>gold]`` rows,
+read through ``preprocess.content_lines``: label ``valid`` or ``invalid``,
+case-insensitive; gold required exactly when invalid; word and gold each
+read as one token under ``preprocess.word`` and stand for that token.
+Each entry runs through a ``SpellChecker``, whose own depth ``k`` sets the
+suggestion lists scored; a word the checker leaves untouched counts as
+recognized-correct, anything flagged counts as recognized-incorrect.  From
+the four confusion counts come lexical and error recall/precision/F-measure
+and predictive accuracy; suggestion adequacy is top-1 accuracy of the
+correction over the invalid entries and mean reciprocal rank scores the
+whole ranked list (a gold missing from the list contributes rank infinity,
+i.e. zero).
 
 Edit-distance histograms bucket the invalid entries by the plain unit-cost
 distance between misspelling and gold: one over all invalid entries, one
@@ -24,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .distance import plain_edit_distance
 from .pipeline import SpellChecker, WordStatus
-from .preprocess import MalformedInputError, content_lines, normalize
+from .preprocess import MalformedInputError, content_lines, word
 
 
 class MalformedCorpusError(MalformedInputError):
@@ -96,39 +97,32 @@ def compute_metrics(counts: ConfusionCounts) -> DetectionMetrics:
     )
 
 
-def _entry(parts: list[str]) -> CorpusEntry:
-    """A corpus row from its columns; a bad row raises the reason alone."""
+def _entry(text: str) -> CorpusEntry:
+    """A corpus row; a bad row raises the reason alone."""
+    parts = text.split("\t")
     if len(parts) > 3:
         raise MalformedCorpusError("extra columns")
     if len(parts) < 2:
         raise MalformedCorpusError("missing label column")
-    word = normalize(parts[0].strip())
-    if not word:
-        raise MalformedCorpusError("empty word")
+    entry = word(parts[0], MalformedCorpusError)
     label = parts[1].strip().lower()
     if label not in ("valid", "invalid"):
         raise MalformedCorpusError(f"unknown label {label!r}")
-    gold = normalize(parts[2].strip()) if len(parts) == 3 else ""
+    gold = parts[2].strip() if len(parts) == 3 else ""
     if label == "valid" and gold:
         raise MalformedCorpusError("gold on a valid row")
     if label == "invalid" and not gold:
         raise MalformedCorpusError("invalid row missing gold")
-    if gold == word:
+    gold = gold and word(gold, MalformedCorpusError, "gold")
+    if gold == entry:
         raise MalformedCorpusError("gold equals the word")
-    for column, text in (("word", word), ("gold", gold)):
-        if len(text.split()) > 1:
-            raise MalformedCorpusError(f"whitespace inside {column} {text!r}")
-    return CorpusEntry(word, label == "valid", gold or None)
+    return CorpusEntry(entry, label == "valid", gold or None)
 
 
 def load_corpus(path) -> list[CorpusEntry]:
     """Parse a corpus TSV file into entries; a file without any is malformed."""
-    entries = []
-    for lineno, text in content_lines(path, MalformedCorpusError):
-        try:
-            entries.append(_entry(text.split("\t")))
-        except MalformedCorpusError as err:
-            raise MalformedCorpusError(f"{path}:{lineno}: {err}") from None
+    entries = [entry for _, entry
+               in content_lines(path, _entry, MalformedCorpusError)]
     if not entries:
         raise MalformedCorpusError(f"{path}: corpus has no entries")
     return entries

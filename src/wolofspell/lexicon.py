@@ -1,12 +1,12 @@
 """Trie-backed lexicon with exact membership lookup.
 
-``TrieDict(words)`` builds the trie: each word is trimmed, lowercased and
-NFC-composed, and an empty word, or one with inner whitespace or a digit,
-raises ``MalformedLexiconError``.  ``load(path)`` reads a lexicon file
-through the same check: one word per line, UTF-8, LF or CRLF endings,
-blank lines ignored and ``#`` starting a comment anywhere in a line.
-Duplicate words collapse silently.  Membership follows the character path
-from the root node (the empty string) and must end where a word ends.
+``TrieDict(words)`` builds the trie: each word must read as one token
+under ``preprocess.word`` and hold no digit, and is stored as that token;
+any other raises ``MalformedLexiconError``.  ``load(path)`` reads a lexicon
+file, one word per line, through ``preprocess.content_lines`` and the same
+check.  Duplicate words collapse silently.  Membership follows the
+character path from the root node (the empty string) and must end where a
+word ends.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .preprocess import MalformedInputError, content_lines, normalize
+from . import preprocess
+from .preprocess import MalformedInputError, contains_digit, content_lines
 
 
 class MalformedLexiconError(MalformedInputError):
-    """A lexicon word is empty or contains inner whitespace or a digit."""
+    """A lexicon word does not read as one token, or holds a digit."""
 
 
 # The children of every leaf: one shared read-only mapping, so a leaf holds
@@ -61,18 +62,11 @@ class TrieDict:
             except MalformedLexiconError as err:
                 raise MalformedLexiconError(f"{word!r}: {err}") from None
 
-    def _insert(self, word: str) -> None:
+    def _insert(self, text: str) -> None:
         """Add one raw word; a bad one raises the reason, not the location."""
-        word = normalize(word.strip())
-        if not word:
-            raise MalformedLexiconError("empty word")
-        # No alphabetic code point is also whitespace or a digit, so an
-        # all-alphabetic word needs neither scan (tests pin this).
-        if not word.isalpha():
-            if any(c.isspace() for c in word):
-                raise MalformedLexiconError(f"whitespace inside word {word!r}")
-            if any(c.isdigit() for c in word):
-                raise MalformedLexiconError(f"digit inside word {word!r}")
+        word = preprocess.word(text, MalformedLexiconError)
+        if contains_digit(word):
+            raise MalformedLexiconError(f"digit inside word {word!r}")
         node = self.root
         rest = len(word)
         for c in word:
@@ -130,12 +124,6 @@ class TrieDict:
                 return False
         return node.lo == 0
 
-    def __contains__(self, word: str) -> bool:
-        return self.contains(word)
-
-    def __len__(self) -> int:
-        return self.word_count
-
     def iterate(self) -> Iterator[str]:
         """Yield every stored word once, in lexicographic scalar order."""
         # Pre-order walk on an explicit stack: a word precedes its
@@ -148,9 +136,6 @@ class TrieDict:
                 yield prefix
             for c in sorted(node.children, reverse=True):
                 stack.append((node.children[c], prefix + c))
-
-    def __iter__(self) -> Iterator[str]:
-        return self.iterate()
 
     def node_count(self) -> int:
         """Number of trie nodes, the root included."""
@@ -166,14 +151,11 @@ class TrieDict:
 def load(path) -> TrieDict:
     """Load a lexicon file into a TrieDict.
 
-    Raises MalformedLexiconError, naming ``path:line``, on a word with
-    internal whitespace or a digit, naming ``path`` when the file is not
-    UTF-8, and the usual OSError when the file cannot be read.
+    Raises MalformedLexiconError naming ``path:line`` on a bad word, or
+    ``path`` when the file is not UTF-8, and the usual OSError when the
+    file cannot be read.
     """
     trie = TrieDict()
-    for lineno, word in content_lines(path, MalformedLexiconError):
-        try:
-            trie._insert(word)
-        except MalformedLexiconError as err:
-            raise MalformedLexiconError(f"{path}:{lineno}: {err}") from None
+    for _ in content_lines(path, trie._insert, MalformedLexiconError):
+        pass
     return trie

@@ -79,9 +79,8 @@ class SpellChecker:
         self.translit_rules = translit_rules
         self.k = k
         self.max_cost = max_cost
-        # normalized like tokens, as TrieDict normalizes its words
-        self.exclude = frozenset(preprocess.normalize(word.strip())
-                                 for word in exclude or ())
+        # each entry read as one token, as TrieDict reads its words
+        self.exclude = frozenset(preprocess.word(entry) for entry in exclude or ())
         # rules verdicts of lexicon words seen so far; never more entries
         # than the lexicon has words
         self._lexicon_verdicts: dict[str, bool] = {}
@@ -129,9 +128,8 @@ class SpellChecker:
         out_lines: list[str] = []
         position = 0
         for line in text.split("\n"):
-            cleaned = preprocess.normalize(preprocess.strip_punctuation(line))
             out_words: list[str] = []
-            for raw in cleaned.split():
+            for raw in preprocess.tokens(line):
                 result = self.check_word(raw, position)
                 position += 1
                 results.append(result)

@@ -1,15 +1,14 @@
-"""Input cleaning: punctuation removal, normalization, input files.
+"""Input cleaning: the one tokenizer, the one word rule, input files.
 
-Raw text goes through three steps before detection: every punctuation mark
-is replaced by a space, the text is lowercased and NFC-composed, and the
-result is split on whitespace into tokens (``SpellChecker.check_text`` does
-the split).  Tokens containing digits are dropped.  An optional exclusion
-list (for filtering known foreign words) can drop further tokens; it is off
-unless a list is supplied.
+``tokens`` reads text the way the checker does: punctuation marks become
+spaces, the text is lowercased and NFC-composed, and split on whitespace.
+``word`` is the word rule for lexicon, corpus, exclusion-list and command
+line words: each must read as exactly one token, and stands for it.
 
 Every input file (lexicon, corpus, costs, transliteration rules, config,
-exclusion list) is UTF-8 read through ``content_lines``, where ``#`` starts
-a comment that runs to the end of the line.  Bundled files are in ``DATA_DIR``.
+exclusion list) is UTF-8 read through ``content_lines``, less one leading
+byte-order mark; ``#`` starts a comment that runs to the end of the line,
+and an error in a row names ``path:line``.  Bundled files are in ``DATA_DIR``.
 """
 
 from __future__ import annotations
@@ -39,6 +38,26 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text.lower())
 
 
+def tokens(text: str) -> list[str]:
+    """The normalized tokens of ``text``, in order."""
+    return normalize(strip_punctuation(text)).split()
+
+
+def word(text: str, error=ValueError, what: str = "word") -> str:
+    """The one token ``text`` reads as, else ``error`` naming it ``what``."""
+    if text.isalpha():  # no punctuation or whitespace: one token as it is
+        return normalize(text)
+    found = tokens(text)
+    if len(found) == 1:
+        return found[0]
+    shown = normalize(text.strip())
+    if not found:
+        raise error(f"no {what} in {shown!r}" if shown else f"empty {what}")
+    if any(c.isspace() for c in shown):
+        raise error(f"whitespace inside {what} {shown!r}")
+    raise error(f"punctuation inside {what} {shown!r}")
+
+
 def contains_digit(word: str) -> bool:
     # no alphabetic code point is a digit, so the common case skips the scan
     return not word.isalpha() and any(c.isdigit() for c in word)
@@ -47,23 +66,30 @@ def contains_digit(word: str) -> bool:
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-def content_lines(path, error=ValueError):
-    """``(line number, text)`` for each line of a UTF-8 file, numbered from 1.
+def content_lines(path, parse, error=ValueError):
+    """``(line number, parse(text))`` per line of a UTF-8 file, less a BOM.
 
     ``text`` is the line up to its first ``#``, without the newline and not
-    otherwise stripped; a line left blank is skipped.  Bytes that are not
-    UTF-8 raise ``error`` naming the path.
+    otherwise stripped; a line left blank is skipped.  A ValueError from
+    ``parse`` comes out as its own class with ``path:line: `` before the
+    message; bytes that are not UTF-8 raise ``error`` naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
+                if lineno == 1:  # not "utf-8-sig": that codec is slow to import
+                    line = line.removeprefix("\ufeff")
                 text = line.partition("#")[0].rstrip("\n")
                 if text.strip():
-                    yield lineno, text
+                    try:
+                        row = parse(text)
+                    except ValueError as err:
+                        raise type(err)(f"{path}:{lineno}: {err}") from None
+                    yield lineno, row
         except UnicodeDecodeError as err:
             raise error(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def load_exclusion_list(path) -> frozenset[str]:
     """Read an exclusion list: one word per line."""
-    return frozenset(normalize(text.strip()) for _, text in content_lines(path))
+    return frozenset(entry for _, entry in content_lines(path, word))

@@ -35,6 +35,15 @@ def _check_pattern(pattern: str) -> None:
         raise ValueError(f"whitespace in pattern {pattern!r}")
 
 
+def _rule(text: str) -> tuple[str, str]:
+    parts = text.split("\t")
+    if len(parts) != 2:
+        raise ValueError("expected pattern<TAB>replacement")
+    pattern = normalize(parts[0])
+    _check_pattern(pattern)
+    return pattern, normalize(parts[1].strip())
+
+
 class RuleSet:
     """Transliteration rules: each pattern maps to its replacement."""
 
@@ -46,15 +55,7 @@ class RuleSet:
     @classmethod
     def from_file(cls, path) -> "RuleSet":
         rules = {}
-        for lineno, text in content_lines(path):
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected pattern<TAB>replacement")
-            pattern, replacement = normalize(parts[0]), normalize(parts[1].strip())
-            try:
-                _check_pattern(pattern)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
+        for lineno, (pattern, replacement) in content_lines(path, _rule):
             if pattern in rules:
                 raise ValueError(f"{path}:{lineno}: duplicate pattern {pattern!r}")
             rules[pattern] = replacement

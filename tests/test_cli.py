@@ -143,6 +143,54 @@ class TestCheck:
             f"error: {rules}:1: expected pattern<TAB>replacement\n")
 
 
+class TestInputWordsReadLikeText:
+    """Lexicon and exclusion-list words are read the way ``check`` reads
+    text, and a leading byte-order mark changes no output."""
+
+    def test_lexicon_word_split_by_punctuation_exits_2_naming_line(
+            self, invoke, tmp_path):
+        lex = tmp_path / "lex.txt"
+        lex.write_text("dëkk\nsu-nu\n", encoding="utf-8")
+        result = invoke(["check", "--lexicon", str(lex)], input="su-nu\n")
+        assert result.exit_code == EXIT_MALFORMED
+        assert result.stderr == f"error: {lex}:2: punctuation inside word 'su-nu'\n"
+
+    def test_lexicon_word_with_colon_exits_2(self, invoke, tmp_path):
+        # it would read as "ta:nk:1" in a structured suggestion field
+        lex = tmp_path / "lex.txt"
+        lex.write_text("dëkk\nta:nk\n", encoding="utf-8")
+        result = invoke(["check", "--format", "structured", "--lexicon", str(lex)],
+                        input="tank\n")
+        assert result.exit_code == EXIT_MALFORMED
+        assert result.stderr.startswith(f"error: {lex}:2: ")
+
+    def test_exclusion_line_with_whitespace_exits_1_naming_line(
+            self, invoke, tmp_path):
+        excl = tmp_path / "exclude.txt"
+        excl.write_text("dëkk bi\n", encoding="utf-8")
+        result = invoke(["check", "--exclude", str(excl)], input="dëkk bi\n")
+        assert result.exit_code == EXIT_ERROR
+        assert result.stderr == (
+            f"error: {excl}:1: whitespace inside word 'dëkk bi'\n")
+
+    @pytest.mark.parametrize("where", ["lexicon", "config", "stdin"])
+    def test_leading_bom_gives_the_same_output(self, invoke, tmp_path, where):
+        def outputs(bom):
+            texts = {"lexicon": "dëkk\nbi\n", "config": "format = structured\n",
+                     "stdin": "dëkk bi deuk\n"}
+            texts[where] = bom + texts[where]
+            lex, cfg = tmp_path / "lex.txt", tmp_path / "cfg.txt"
+            lex.write_text(texts["lexicon"], encoding="utf-8")
+            cfg.write_text(texts["config"], encoding="utf-8")
+            result = invoke(["check", "--lexicon", str(lex), "--config", str(cfg)],
+                            input=texts["stdin"])
+            return result.exit_code, result.stdout, result.stderr
+
+        plain = outputs("")
+        assert plain[:2] == (0, "dëkk bi dëkk\n")
+        assert outputs("\ufeff") == plain
+
+
 class TestSuggest:
     def test_known_misspelling(self, invoke):
         result = invoke(["suggest", "tank"])
@@ -162,8 +210,14 @@ class TestSuggest:
         assert run(["suggest", word]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "Usage:" in err
-        fragment = "contains whitespace" if word.strip() else "is empty"
-        assert f"WORD {word!r} {fragment}" in err
+        fragment = f"whitespace inside WORD {word!r}" if word.strip() else "empty WORD"
+        assert f"error: {fragment}\n" in err
+
+    def test_word_read_like_text(self, invoke):
+        assert invoke(["suggest", "-k", "1", "Dëkk,"]).stdout == "dëkk\t0\n"
+        result = invoke(["suggest", "su-nu"])
+        assert result.exit_code == EXIT_ERROR
+        assert result.stderr.startswith("error: punctuation inside WORD 'su-nu'\n")
 
     def test_costs_ascending(self, invoke):
         result = invoke(["suggest", "deuk"])

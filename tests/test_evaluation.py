@@ -44,6 +44,16 @@ class TestLoadCorpus:
         assert entries == [CorpusEntry("dëkk", valid=True),
                            CorpusEntry("deuk", valid=False, gold="dëkk")]
 
+    def test_word_and_gold_read_like_text(self, tmp_path):
+        path = write_corpus(tmp_path, ["Deuk,\tinvalid\t«dëkk»"])
+        assert load_corpus(path) == [CorpusEntry("deuk", valid=False, gold="dëkk")]
+        for row, message in (("su-nu\tvalid", "punctuation inside word 'su-nu'"),
+                             ("deuk\tinvalid\td:ëkk", "punctuation inside gold 'd:ëkk'")):
+            path = write_corpus(tmp_path, [row])
+            with pytest.raises(MalformedCorpusError) as err:
+                load_corpus(path)
+            assert str(err.value) == f"{path}:1: {message}"
+
     def test_missing_gold_rejected(self, tmp_path):
         path = write_corpus(tmp_path, ["deuk\tinvalid"])
         with pytest.raises(MalformedCorpusError):

@@ -64,6 +64,15 @@ class TestLoad:
             with pytest.raises(MalformedLexiconError):
                 TrieDict(words)
 
+    def test_words_read_like_text(self, tmp_path):
+        # a lexicon word is the one token check would read from its line
+        for build in BUILDERS:
+            trie = build(tmp_path, ["Dëkk,", "(bi)"])
+            assert list(trie.iterate()) == ["bi", "dëkk"]
+            for words in (["su-nu"], ["l'office"], ["-"]):
+                with pytest.raises(MalformedLexiconError):
+                    build(tmp_path, words)
+
     def test_error_names_the_file_line(self, tmp_path):
         path = write_lexicon(tmp_path, ["dëkk", "# note", "dëkk2"])
         with pytest.raises(MalformedLexiconError, match=f"{path}:3"):
@@ -92,8 +101,9 @@ class TestLoad:
         assert from_list.node_count() == from_file.node_count()
 
     def test_alphabetic_code_points_are_never_space_or_digit(self):
-        # _insert skips its whitespace and digit scans for an all-alphabetic
-        # word; that is sound only while this holds on the running Python.
+        # preprocess.word and contains_digit skip their scans for an
+        # all-alphabetic word; that is sound only while this holds on the
+        # running Python.
         both = [hex(cp) for cp in range(sys.maxunicode + 1)
                 if chr(cp).isalpha() and (chr(cp).isspace() or chr(cp).isdigit())]
         assert both == []

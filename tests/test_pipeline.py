@@ -88,6 +88,12 @@ class TestCheckWord:
                                exclude=frozenset({"Deuk", " Bonjour "}))
         assert checker.check_text("Deuk bi bonjour").corrected_text == "bi"
 
+    def test_exclusion_entry_must_read_as_one_token(self, sample_lexicon):
+        checker = SpellChecker(sample_lexicon, exclude=frozenset({"Bonjour!"}))
+        assert checker.exclude == {"bonjour"}
+        with pytest.raises(ValueError, match="whitespace inside word 'a b'"):
+            SpellChecker(sample_lexicon, exclude=frozenset({"a b"}))
+
     def test_rule_failure_bypasses_lexicon(self):
         # "saakk" breaks the long-vowel rule; even as a lexicon member it
         # must be flagged, and by the rules gate, not the lexicon.

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wolofspell.alphabet import WOLOF_CHARS
 from wolofspell.cli import read_config_file
 from wolofspell.distance import CostModel
 from wolofspell.evaluation import CorpusEntry, load_corpus
@@ -15,6 +16,8 @@ from wolofspell.preprocess import (
     load_exclusion_list,
     normalize,
     strip_punctuation,
+    tokens,
+    word,
 )
 from wolofspell.translit import RuleSet
 
@@ -61,6 +64,73 @@ class TestNormalize:
             assert normalize(once) == once
 
 
+class TestTokens:
+    def test_punctuation_splits_and_case_folds(self):
+        assert tokens("Deuk bi, sakhar!") == ["deuk", "bi", "sakhar"]
+        assert tokens("su-nu l'office") == ["su", "nu", "l", "office"]
+
+    def test_no_tokens(self):
+        assert tokens("") == [] and tokens(" -, ") == []
+
+
+class Rejected(ValueError):
+    pass
+
+
+# Wolof letters in both cases, a decomposed accent, the punctuation and
+# spaces found between words, and digits.
+_LETTERS = sorted(WOLOF_CHARS | {c.upper() for c in WOLOF_CHARS})
+_PIECES = _LETTERS + ["e\u0308", "-", "'", ",", ":", " ", "\u00a0", "1", "7"]
+
+
+class TestWord:
+    @settings(max_examples=500)
+    @given(text=st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+    def test_the_one_token_tokens_finds(self, text):
+        found = tokens(text)
+        if len(found) == 1:
+            assert word(text, Rejected) == found[0]
+        else:
+            with pytest.raises(Rejected):
+                word(text, Rejected)
+
+    @settings(max_examples=300)
+    @given(text=st.lists(st.sampled_from(_LETTERS), min_size=1,
+                         max_size=8).map("".join))
+    def test_fast_path_agrees_with_tokens(self, text):
+        assert text.isalpha()  # the fast path
+        assert [word(text)] == tokens(text)
+
+    def test_every_alphabetic_code_point_is_one_token(self):
+        # word's fast path takes an all-alphabetic text as one token as it
+        # is; that is sound only while this holds on the running Python.
+        wrong = [hex(cp) for cp in range(sys.maxunicode + 1)
+                 if chr(cp).isalpha() and tokens(chr(cp)) != [normalize(chr(cp))]]
+        assert wrong == []
+
+    def test_reads_like_text(self):
+        assert word(" Dëkk, ") == "dëkk"
+        assert word("DËKK2") == "dëkk2"  # digits are the lexicon's rule
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty word"),
+        ("  ", "empty word"),
+        ("Dëkk bi", "whitespace inside word 'dëkk bi'"),
+        ("Deuk\u00a0Bi", "whitespace inside word 'deuk\\xa0bi'"),
+        ("su-nu", "punctuation inside word 'su-nu'"),
+        ("ta:nk", "punctuation inside word 'ta:nk'"),
+        (" - ", "no word in '-'"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(Rejected) as err:
+            word(text, Rejected)
+        assert str(err.value) == message
+
+    def test_what_names_the_text(self):
+        with pytest.raises(ValueError, match="^whitespace inside gold 'a b'$"):
+            word("a b", what="gold")
+
+
 class TestExclusionList:
     def test_load(self, tmp_path):
         path = tmp_path / "exclude.txt"
@@ -95,7 +165,7 @@ class TestContainsDigit:
 # whole-line comment, a blank line, the first row ending in CRLF and the
 # second carrying a trailing "# note".
 LOADERS = {
-    "lexicon": (lambda path: list(load(path)), "Dëkk", "bi",
+    "lexicon": (lambda path: list(load(path).iterate()), "Dëkk", "bi",
                 ["bi", "dëkk"]),
     "corpus": (load_corpus, "dëkk\tvalid", "deuk\tinvalid\tdëkk",
                [CorpusEntry("dëkk", valid=True),
@@ -120,3 +190,19 @@ def test_every_loader_reads_comments_blanks_and_crlf_alike(tmp_path, name):
                      .encode("utf-8"))
     assert parse(path) == expected
 
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_loader_drops_a_leading_byte_order_mark(tmp_path, name):
+    parse, first, second, expected = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"\ufeff{first}\n{second}\n", encoding="utf-8")
+    assert parse(path) == expected
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_loader_names_the_line_of_a_bad_row(tmp_path, name):
+    parse, first, _, _ = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"{first}\n# note\na b\tc\td\te\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+        parse(path)
