@@ -11,7 +11,6 @@ word ends.
 
 from __future__ import annotations
 
-import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -30,20 +29,19 @@ _NO_CHILDREN: Mapping[str, "_Node"] = MappingProxyType({})
 
 
 class _Node:
-    """A trie node.  ``lo``/``hi`` are the shortest and longest remaining
-    length of a word ending in this node's subtree, so ``lo`` is 0 exactly
-    on a node where a word ends; the suggestion walk bounds edit costs with
-    them.  A node with no word below it yet (a new node, an empty trie's
-    root) has lo > hi.  ``below`` is a bitmask of the letters on the edges
+    """A trie node.  ``end`` is true where a word ends.  ``hi`` is the
+    longest remaining length of a word ending in this node's subtree (0 on
+    a node with no word below it yet); the suggestion walk bounds deletion
+    costs with it.  ``below`` is a bitmask of the letters on the edges
     under the node, one bit per letter as ``TrieDict.letters()`` numbers
     them (0 on a leaf); it is filled by the first ``letters()`` call, not
     while inserting."""
 
-    __slots__ = ("children", "lo", "hi", "below")
+    __slots__ = ("children", "end", "hi", "below")
 
     def __init__(self):
         self.children: Mapping[str, _Node] = _NO_CHILDREN
-        self.lo = sys.maxsize
+        self.end = False
         self.hi = 0
         self.below = 0
 
@@ -70,8 +68,6 @@ class TrieDict:
         node = self.root
         rest = len(word)
         for c in word:
-            if rest < node.lo:
-                node.lo = rest
             if rest > node.hi:
                 node.hi = rest
             rest -= 1
@@ -83,8 +79,8 @@ class TrieDict:
                 if child is None:
                     child = node.children[c] = _Node()
             node = child
-        if node.lo:  # no word ended here yet
-            node.lo = 0
+        if not node.end:
+            node.end = True
             self.word_count += 1
 
     def letters(self) -> dict[str, int]:
@@ -122,7 +118,7 @@ class TrieDict:
             node = node.children.get(c)
             if node is None:
                 return False
-        return node.lo == 0
+        return node.end
 
     def iterate(self) -> Iterator[str]:
         """Yield every stored word once, in lexicographic scalar order."""
@@ -132,7 +128,7 @@ class TrieDict:
         stack = [(self.root, "")]
         while stack:
             node, prefix = stack.pop()
-            if node.lo == 0:
+            if node.end:
                 yield prefix
             for c in sorted(node.children, reverse=True):
                 stack.append((node.children[c], prefix + c))

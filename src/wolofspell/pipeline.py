@@ -25,7 +25,7 @@ from . import preprocess, rules
 from .distance import CostModel
 from .lexicon import TrieDict
 from .preprocess import Token
-from .suggest import SuggestionList, suggest
+from .suggest import SuggestionList, suggest, validate_settings
 from .translit import RuleSet, transform
 
 
@@ -70,12 +70,9 @@ class SpellChecker:
                  translit_rules: RuleSet | None = None, k: int = 10,
                  max_cost: int | None = None,
                  exclude: frozenset[str] | None = None):
-        if k < 1:
-            raise ValueError("k must be positive")
-        if max_cost is not None and max_cost < 0:
-            raise ValueError("max_cost must not be negative")
         self.lexicon = lexicon
         self.model = model or CostModel()
+        validate_settings(self.model, k, max_cost)
         self.translit_rules = translit_rules
         self.k = k
         self.max_cost = max_cost

@@ -14,9 +14,9 @@ of the query, ``query[i:]``, into the rest of the word, for some i; taking
 that second cost as 0 gives the row minimum, Ukkonen's cut-off.  Two lower
 bounds on that second cost raise it:
 
-- Length.  The rest of the word has between ``lo`` and ``hi`` characters
-  (stored on each trie node), so turning ``query[i:]`` into it takes at
-  least one insertion per missing character or one deletion per extra one.
+- Length.  The rest of the word has at most ``hi`` characters (stored on
+  each trie node), so turning ``query[i:]`` into it takes at least one
+  deletion per character beyond ``hi``.
 - Letters.  Every letter of the rest of the word is in the node's ``below``
   mask (the letters on the edges under it).  A letter of ``query[i:]``
   outside the mask cannot be matched, so it is deleted or substituted for
@@ -29,8 +29,8 @@ bounds on that second cost raise it:
 The max of two lower bounds is a lower bound, so the bound used is the
 minimum over i of ``row[i]`` plus the larger of the two penalties, never
 below the row minimum.  One vector holds that larger penalty for every i;
-vectors are cached per query by ``(lo, hi, letters held)``, the query
-letters being those the node's mask holds.
+vectors are cached per query by ``(hi, letters held)``, the query letters
+being those the node's mask holds.
 
 The walk is iterative, on an explicit stack, so word length is not limited
 by recursion depth.  A node's bound is checked again when it is popped,
@@ -91,6 +91,18 @@ class SuggestionList:
         return None
 
 
+def validate_settings(model: CostModel, k: int, max_cost: int | None) -> None:
+    """Raise ValueError unless ``k`` is positive and no cost, cap included,
+    is negative: the walk's bounds hold only for non-negative costs."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if max_cost is not None and max_cost < 0:
+        raise ValueError("max_cost must not be negative")
+    if min(model.insert, model.delete, model.mismatch,
+           *model.substitution_overrides.values()) < 0:
+        raise ValueError("edit costs must not be negative")
+
+
 def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
             k: int = 10, max_cost: int | None = None,
             prune: bool = True) -> SuggestionList:
@@ -104,11 +116,8 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         raise ValueError("query must be non-empty")
     if trie.word_count == 0:
         raise EmptyLexiconError("the lexicon has no words")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if max_cost is not None and max_cost < 0:
-        raise ValueError("max_cost must not be negative")
     model = model or CostModel()
+    validate_settings(model, k, max_cost)
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     n = len(query)
     letters = trie.letters() if prune else {}
@@ -125,9 +134,9 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     ceiling = sys.maxsize if max_cost is None else max_cost
     # cols[c][i]: cost of substituting trie character c for query[i].
     cols: dict[str, list[int]] = {}
-    # pens[lo, hi, have][i]: a lower bound on turning query[i:] into the rest
-    # of a word below a node with those lengths and query letters held.
-    pens: dict[tuple[int, int, int], list[int]] = {}
+    # pens[hi, have][i]: a lower bound on turning query[i:] into the rest
+    # of a word below a node with that longest length and query letters held.
+    pens: dict[tuple[int, int], list[int]] = {}
     nodes = 0
 
     # row[i] = cost of transforming query[:i] into the node's prefix
@@ -158,16 +167,15 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
                 left = cell
             bound = 0
             if prune:
-                key = (child.lo, child.hi, child.below & qmask)
+                key = (child.hi, child.below & qmask)
                 pen = pens.get(key)
                 if pen is None:
-                    pen = pens[key] = _penalties(qbits, qweights, *key,
-                                                 ins, dele)
+                    pen = pens[key] = _penalties(qbits, qweights, *key, dele)
                 bound = min(map(add, child_row, pen))
                 if bound > ceiling:
                     continue
             word = prefix + c
-            if child.lo == 0:  # a word ends here
+            if child.end:
                 cost = child_row[-1]
                 if cost <= ceiling and (len(best) < k or (cost, word) < best[-1]):
                     bisect.insort(best, (cost, word))
@@ -199,25 +207,19 @@ def _letter_weights(query: str, letters: dict[str, int], dele: int,
     return [weights[q] for q in query]
 
 
-def _penalties(qbits: list[int], qweights: list[int], lo: int, hi: int,
-               have: int, ins: int, dele: int) -> list[int]:
+def _penalties(qbits: list[int], qweights: list[int], hi: int, have: int,
+               dele: int) -> list[int]:
     """Per query position i (0..n), the larger of two lower bounds on turning
-    query[i:] into a suffix of lo..hi characters whose letters are the bits
-    of ``have``: one insertion per missing character or one deletion per
-    extra one, and the summed weight of the letters of query[i:] whose bit
-    is not in ``have``."""
-    pen = [lo * ins]
+    query[i:] into at most ``hi`` characters whose letters are the bits of
+    ``have``: one deletion per character beyond ``hi``, and the summed
+    weight of the letters of query[i:] whose bit is not in ``have``."""
+    pen = [0]
     rest = total = 0
     for bit, weight in zip(reversed(qbits), reversed(qweights)):
         rest += 1
         if not bit & have:
             total += weight
-        if rest < lo:
-            length = (lo - rest) * ins
-        elif rest > hi:
-            length = (rest - hi) * dele
-        else:
-            length = 0
+        length = (rest - hi) * dele
         pen.append(length if length > total else total)
     pen.reverse()
     return pen

@@ -23,6 +23,14 @@ KNOWN_MISSPELLINGS = (
     ("tank", "tànk"),
 )
 
+# One model per cost field set below 0: suggest and SpellChecker reject each.
+NEGATIVE_COSTS = {
+    "insert": CostModel(insert=-1),
+    "delete": CostModel(delete=-1),
+    "mismatch": CostModel(mismatch=-1),
+    "override": CostModel(substitution_overrides={("a", "à"): -3}),
+}
+
 
 @pytest.fixture(scope="session")
 def sample_lexicon() -> TrieDict:

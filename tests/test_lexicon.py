@@ -164,9 +164,9 @@ class TestIterate:
 
 
 class TestLengthBounds:
-    def test_lo_hi_match_the_words_below_each_node(self, sample_words):
-        # every node's lo/hi against the remaining lengths of the words that
-        # extend its prefix, read off the word list, in two insertion orders
+    def test_end_and_hi_match_the_words_below_each_node(self, sample_words):
+        # every node's end flag and hi against the words that extend its
+        # prefix, read off the word list, in two insertion orders
         small = ["ab", "abcd", "b", "abc"]
         for words in (sample_words, sample_words[::-1], small, small[::-1]):
             stack = [(TrieDict(words).root, "")]
@@ -174,8 +174,8 @@ class TestLengthBounds:
                 node, prefix = stack.pop()
                 rest = [len(w) - len(prefix) for w in words
                         if w.startswith(prefix)]
-                assert (node.lo, node.hi) == (min(rest), max(rest)), prefix
-                assert (node.lo == 0) == (prefix in words), prefix
+                assert node.hi == max(rest), prefix
+                assert node.end == (prefix in words), prefix
                 stack.extend((child, prefix + c)
                              for c, child in node.children.items())
 

@@ -7,7 +7,7 @@ from wolofspell.pipeline import FlaggedBy, SpellChecker, WordStatus
 from wolofspell.suggest import EmptyLexiconError
 
 import oracles
-from conftest import KNOWN_MISSPELLINGS
+from conftest import KNOWN_MISSPELLINGS, NEGATIVE_COSTS
 
 # Lexicon members include words that break the rules: an initial geminate
 # (kkaa), a geminate after a long vowel (ooppa, saakk) and a foreign letter
@@ -130,6 +130,13 @@ class TestCheckWord:
                                                        setting, message):
         with pytest.raises(ValueError, match=message):
             SpellChecker(sample_lexicon, **setting)
+
+    @pytest.mark.parametrize("bad_model", NEGATIVE_COSTS.values(),
+                             ids=list(NEGATIVE_COSTS))
+    def test_negative_cost_rejected_at_construction(self, sample_lexicon,
+                                                    bad_model):
+        with pytest.raises(ValueError, match="costs must not be negative"):
+            SpellChecker(sample_lexicon, bad_model)
 
     def test_empty_lexicon_propagates(self):
         with pytest.raises(EmptyLexiconError):

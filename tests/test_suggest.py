@@ -9,6 +9,8 @@ from wolofspell.lexicon import TrieDict
 from wolofspell.suggest import (EmptyLexiconError, Suggestion, _letter_weights,
                                 _penalties, best, suggest)
 
+from conftest import NEGATIVE_COSTS
+
 ALPHABET = sorted(WOLOF_CHARS)
 
 
@@ -117,6 +119,18 @@ class TestSuggest:
         with pytest.raises(ValueError, match="max_cost must not be negative"):
             suggest("deuk", sample_lexicon, model, max_cost=-1)
 
+    @pytest.mark.parametrize("bad_model", NEGATIVE_COSTS.values(),
+                             ids=list(NEGATIVE_COSTS))
+    def test_negative_cost_rejected(self, sample_lexicon, bad_model):
+        with pytest.raises(ValueError, match="costs must not be negative"):
+            suggest("deuk", sample_lexicon, bad_model)
+
+    def test_zero_costs_allowed(self, sample_lexicon, sample_words):
+        model = CostModel(insert=0, delete=0, mismatch=0)
+        got = suggest("deuk", sample_lexicon, model, k=3)
+        assert [(s.word, s.cost) for s in got.items] == linear_scan(
+            "deuk", sample_words, model, k=3)
+
     def test_empty_query_rejected(self, sample_lexicon, model):
         with pytest.raises(ValueError):
             suggest("", sample_lexicon, model)
@@ -150,17 +164,28 @@ class TestPruning:
 
 class TestLengthBound:
     def test_length_bound_prunes_where_row_minimum_would_not(self, model):
-        trie = TrieDict(["ab", "abcdefgh"])
-        pruned = suggest("abc", trie, model, k=10, max_cost=1)
-        full = suggest("abc", trie, model, k=10, max_cost=1, prune=False)
-        assert pruned.items == full.items == (Suggestion("ab", 1),)
-        # At node "abc" the row minimum is 0 (the prefix equals the query),
-        # and at "abcd" it is 1, so the row minimum alone would expand both
-        # under max_cost=1.  Every word below "abc" has 5 more characters
-        # than the query has left, so the length bound there is 5: only the
-        # root, "a" and "ab" are expanded.
-        assert pruned.nodes_expanded == 3
-        assert full.nodes_expanded == trie.node_count() == 9
+        trie = TrieDict(["aaaa", "ba"])
+        pruned = suggest("aaaa", trie, model, k=10, max_cost=1)
+        full = suggest("aaaa", trie, model, k=10, max_cost=1, prune=False)
+        assert pruned.items == full.items == (Suggestion("aaaa", 0),)
+        # At node "b" the row over "", "a", ..., "aaaa" is [1, 2, 3, 4, 5],
+        # so the row minimum alone would expand it under max_cost=1, and "a"
+        # is below it, so no letter is priced.  But the only word below "b"
+        # has 1 more character, and query[i:] has 4 - i: the length
+        # penalties are [3, 2, 1, 0, 0] and the bound is 4.  Only the root,
+        # "a", "aa", "aaa" and the leaf "aaaa" are expanded.
+        assert pruned.nodes_expanded == 5
+        assert full.nodes_expanded == trie.node_count() == 7
+
+    def test_long_junk_query_expands_under_half_the_trie(self, sample_lexicon,
+                                                         model):
+        # Every word is far shorter than the query; the deletions that the
+        # length bound charges for it keep the walk to a small part of the
+        # trie, where the row minimum and the letters alone expand most of it.
+        rng = random.Random(113)
+        query = "".join(rng.choice(ALPHABET) for _ in range(300))
+        result = suggest(query, sample_lexicon, model)
+        assert result.nodes_expanded < sample_lexicon.node_count() / 2
 
     def test_missing_characters_are_priced_as_insertions(self):
         # "abb" needs two insertions (cost 2 under insert=1), a tie with
@@ -178,12 +203,12 @@ class TestLetterBound:
         full = suggest("ab", trie, model, k=10, max_cost=2, prune=False)
         assert pruned.items == full.items == (Suggestion("ab", 0),)
         # At node "c" the row over "", "a", "ab" is [1, 2, 3]; one letter
-        # remains below it, so the length penalties are [1, 0, 1] and the
+        # remains below it, so the length penalties are [1, 0, 0] and the
         # length bound is 2, which max_cost=2 does not prune: "c" would be
         # expanded (and its leaf "d" then pruned at cost 4).  But "b" is not
         # below "c", so query[1:] costs at least b's weight, 1 (a deletion;
         # any substitution costs 2), and query[0:] at least 2: penalties
-        # [2, 1, 1], bound 3.  Only the root, "a" and the leaf "ab" count.
+        # [2, 1, 0], bound 3.  Only the root, "a" and the leaf "ab" count.
         assert pruned.nodes_expanded == 3
         assert full.nodes_expanded == trie.node_count() == 5
 
@@ -245,8 +270,8 @@ class TestGeneratedTries:
         stack = [(trie.root, "")]
         while stack:
             node, prefix = stack.pop()
-            pen = _penalties(qbits, qweights, node.lo, node.hi, node.below,
-                             model.insert, model.delete)
+            pen = _penalties(qbits, qweights, node.hi, node.below,
+                             model.delete)
             assert len(pen) == len(query) + 1
             for word in lexicon:
                 if word.startswith(prefix):
