@@ -15,7 +15,6 @@ command but ``lexicon-stats``).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from collections import Counter
@@ -26,7 +25,7 @@ from .distance import CostModel
 from .lexicon import MalformedLexiconError, load as load_lexicon
 from .pipeline import SpellChecker, WordStatus
 from .preprocess import (MalformedInputError, content_lines,
-                         load_exclusion_list, word)
+                         load_exclusion_list, utf8_lines, word)
 from .suggest import suggest as suggest_words
 from .translit import RuleSet
 
@@ -55,7 +54,7 @@ def _output_format(text: str) -> str:
 # also read from WOLOFSPELL_<SETTING> and from the config key <setting>.
 _SETTINGS = {
     "lexicon": ("--lexicon", str, None, "PATH", "Lexicon file (default: bundled sample)."),
-    "costs": ("--costs", str, None, "PATH", "Substitution-cost override file."),
+    "costs": ("--costs", str, None, "PATH", "Substitution-cost file (replaces the bundled accent couples)."),
     "translit": ("--translit", str, None, "PATH", "Transliteration rule file (replaces the bundled rules)."),
     "exclude": ("--exclude", str, None, "PATH", "Exclusion list of words to drop."),
     "k": ("-k", lambda text: _integer(text, least=1), 10, "N",
@@ -122,38 +121,32 @@ def _build_checker(s: dict, need_words: bool) -> SpellChecker:
 def check(args, checker: SpellChecker, fmt: str) -> int:
     """Correct text from INPUT (a file, or stdin by default).
 
-    The corrected text goes to stdout; one diagnostic line per flagged
-    token goes to stderr (position, original, status, replacement).
+    INPUT is read like the input files, and checked and written one line at
+    a time, so memory is bounded by the longest line: each corrected line
+    goes to stdout, then one diagnostic line per flagged token to stderr
+    (position, original, status, replacement).  A byte that is not UTF-8
+    exits 1, after the lines decoded before it are written.
     """
-    # strict UTF-8 less one leading BOM, universal newlines, file or stdin
-    if args.INPUT == "-":
-        name, data = "<stdin>", sys.stdin.buffer.read()
-    else:
-        with open(args.INPUT, "rb") as fh:
-            name, data = args.INPUT, fh.read()
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{name}: not UTF-8 text ({err.reason})") from None
-    report = checker.check_text(text.removeprefix("\ufeff"))
-    # corrected_text carries the input's own line breaks, trailing one included
-    sys.stdout.write(report.corrected_text)
-    for result in report.results:
-        if result.status is WordStatus.CORRECT:
-            continue
-        if fmt == "structured":
-            fields = [str(result.original.position), result.original.surface,
-                      result.status.value, result.corrected or ""]
-            if result.suggestions is not None:
-                fields.append(",".join(f"{s.word}:{s.cost}"
-                                       for s in result.suggestions))
-            print("\t".join(fields), file=sys.stderr)
-        else:
-            detail = {WordStatus.CORRECTED: f"corrected to {result.corrected!r}",
-                      WordStatus.NO_SUGGESTION: "no suggestion found",
-                      }.get(result.status, "dropped")
-            print(f"word {result.original.position} "
-                  f"{result.original.surface!r}: {detail}", file=sys.stderr)
+    stream = sys.stdin.buffer if args.INPUT == "-" else open(args.INPUT, "rb")
+    position = 0  # of the line's first token in the whole input
+    for line in utf8_lines(stream, "<stdin>" if args.INPUT == "-" else args.INPUT):
+        report = checker.check_text(line)
+        sys.stdout.write(report.corrected_text)  # with the line's break, if any
+        for at, result in enumerate(report.results, position):
+            if result.status is WordStatus.CORRECT:
+                continue
+            if fmt == "structured":
+                fields = [str(at), result.original.surface,
+                          result.status.value, result.corrected or ""]
+                if result.suggestions is not None:
+                    fields.append(",".join(f"{s.word}:{s.cost}" for s in result.suggestions))
+                print("\t".join(fields), file=sys.stderr)
+            else:
+                detail = {WordStatus.CORRECTED: f"corrected to {result.corrected!r}",
+                          WordStatus.NO_SUGGESTION: "no suggestion found",
+                          }.get(result.status, "dropped")
+                print(f"word {at} {result.original.surface!r}: {detail}", file=sys.stderr)
+        position += len(report.results)
     return EXIT_OK
 
 

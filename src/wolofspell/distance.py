@@ -65,10 +65,10 @@ class CostModel(NamedTuple):
     def from_file(cls, path) -> "CostModel":
         """Load substitution overrides: ``char1<TAB>char2<TAB>cost`` lines.
 
-        Unlisted unequal pairs keep the default cost of 2.  Characters are
-        lowercased and NFC-composed like tokens, and each must then be a
-        single scalar.  The two must differ, and a couple is given once: its
-        cost holds both ways.
+        They replace the default couples: any unlisted unequal pair costs 2.
+        Characters are lowercased and NFC-composed like tokens, and each must
+        then be a single scalar.  The two must differ, and a couple is given
+        once: its cost holds both ways.
         """
         table: dict[tuple[str, str], int] = {}
         for lineno, (a, b, cost) in content_lines(path, _cost_row):

@@ -14,8 +14,8 @@ whole ranked list (a gold missing from the list contributes rank infinity,
 i.e. zero).
 
 Edit-distance histograms bucket the invalid entries by the plain unit-cost
-distance between misspelling and gold: one over all invalid entries, one
-over those the checker corrected to something other than the gold.
+distance between misspelling and gold: one over all of them, one over those
+whose top-1 is not the gold, also when never flagged or without suggestion.
 """
 
 from __future__ import annotations

@@ -5,14 +5,17 @@ spaces, the text is lowercased and NFC-composed, and split on whitespace.
 ``word`` is the word rule for lexicon, corpus, exclusion-list and command
 line words: each must read as exactly one token, and stands for it.
 
-Every input file (lexicon, corpus, costs, transliteration rules, config,
-exclusion list) is UTF-8 read through ``content_lines``, less one leading
-byte-order mark; ``#`` starts a comment that runs to the end of the line,
-and an error in a row names ``path:line``.  Bundled files are in ``DATA_DIR``.
+Every input, the input files and ``check``'s INPUT alike, is read a line at
+a time by ``utf8_lines``: strict UTF-8, universal newlines, less one leading
+byte-order mark.  In the input files (lexicon, corpus, costs, transliteration
+rules, config, exclusion list), read through ``content_lines``, ``#`` starts
+a comment to the end of the line, and an error in a row names ``path:line``.
+Bundled files are in ``DATA_DIR``.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import unicodedata
 from typing import NamedTuple
@@ -66,28 +69,32 @@ def contains_digit(word: str) -> bool:
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
+def utf8_lines(stream, name, error=ValueError):
+    """The lines of the binary ``stream`` with their newlines, less one
+    leading BOM, then close it; a non-UTF-8 byte raises ``error`` naming ``name``."""
+    with io.TextIOWrapper(stream, encoding="utf-8") as text:
+        try:
+            for lineno, line in enumerate(text):  # not "utf-8-sig": slow to import
+                yield line if lineno else line.removeprefix("\ufeff")
+        except UnicodeDecodeError as err:
+            raise error(f"{name}: not UTF-8 text ({err.reason})") from None
+
+
 def content_lines(path, parse, error=ValueError):
-    """``(line number, parse(text))`` per line of a UTF-8 file, less a BOM.
+    """``(line number, parse(text))`` per line of a ``utf8_lines`` file.
 
     ``text`` is the line up to its first ``#``, without the newline and not
     otherwise stripped; a line left blank is skipped.  A ValueError from
-    ``parse`` comes out as its own class with ``path:line: `` before the
-    message; bytes that are not UTF-8 raise ``error`` naming ``path``.
+    ``parse`` comes out as its own class with ``path:line: `` before it.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                if lineno == 1:  # not "utf-8-sig": that codec is slow to import
-                    line = line.removeprefix("\ufeff")
-                text = line.partition("#")[0].rstrip("\n")
-                if text.strip():
-                    try:
-                        row = parse(text)
-                    except ValueError as err:
-                        raise type(err)(f"{path}:{lineno}: {err}") from None
-                    yield lineno, row
-        except UnicodeDecodeError as err:
-            raise error(f"{path}: not UTF-8 text ({err.reason})") from None
+    for lineno, line in enumerate(utf8_lines(open(path, "rb"), path, error), 1):
+        text = line.partition("#")[0].rstrip("\n")
+        if text.strip():
+            try:
+                row = parse(text)
+            except ValueError as err:
+                raise type(err)(f"{path}:{lineno}: {err}") from None
+            yield lineno, row
 
 
 def load_exclusion_list(path) -> frozenset[str]:

@@ -1,9 +1,11 @@
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 from unittest import mock
@@ -125,6 +127,72 @@ class TestCheck:
         assert run(["check", str(path)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
 
+    def test_positions_count_across_lines(self, invoke):
+        result = invoke(["check"], input="bi deuk\nxar\n\ndeuk")
+        assert result.stdout == "bi dëkk\nxar\n\ndëkk"
+        assert result.stderr == ("word 1 'deuk': corrected to 'dëkk'\n"
+                                 "word 3 'deuk': corrected to 'dëkk'\n")
+
+    def test_lines_before_a_late_non_utf8_byte_are_written(self, monkeypatch,
+                                                            capsys):
+        # past the first chunk the reader decodes, so the lines before the
+        # bad byte are checked and written before the error is
+        set_stdin(monkeypatch, b"bi xar\n" * 2000 + b"\xff\n")
+        assert run(["check"]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out and ("bi xar\n" * 2000).startswith(out)
+        assert err == "error: <stdin>: not UTF-8 text (invalid start byte)\n"
+
+    def test_memory_flat_in_input_size(self, tmp_path):
+        # INPUT is read, checked and written one line at a time, so four
+        # times the lines must not need more memory than once the lines
+        lexicon = load_sample_lexicon()
+        checker = SpellChecker(lexicon)
+        words = [w for w in lexicon.iterate()
+                 if checker.check_word(w).status is WordStatus.CORRECT]
+        rng = random.Random(1)
+
+        def peak(lines):
+            path = tmp_path / f"{lines}.txt"
+            path.write_text("".join(" ".join(rng.choices(words, k=12)) + "\n"
+                                    for _ in range(lines)), encoding="utf-8")
+            with open(os.devnull, "w") as sink, redirect_stdout(sink), \
+                    redirect_stderr(sink):
+                tracemalloc.start()
+                try:
+                    assert run(["check", str(path)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(10)  # imports and first-call caches
+        assert peak(2000) <= 1.25 * peak(500)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bom=st.booleans(),
+           text=st.lists(st.sampled_from(["deuk", "bi", "Xar", "dëkk", "a1",
+                                          ",", " ", "\ufeff", "\n", "\r\n",
+                                          "\r"]), max_size=10).map("".join))
+    def test_output_matches_checking_the_whole_text(self, bom, text):
+        # the library checks the whole text at once; check must print the
+        # same corrected text and flag the same tokens at the same positions
+        data = ("\ufeff" if bom else "") + text
+        whole = data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+        report = SpellChecker(load_sample_lexicon(), k=3).check_text(whole)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(data.encode("utf-8")), encoding="utf-8")), \
+                redirect_stdout(out), redirect_stderr(err):
+            assert run(["check", "--format", "structured", "-k", "3"]) == 0
+        assert out.getvalue() == report.corrected_text
+        flagged = [line.split("\t") for line in err.getvalue().splitlines()]
+        assert flagged == [[str(r.original.position), r.original.surface,
+                            r.status.value, r.corrected or "",
+                            *([",".join(f"{s.word}:{s.cost}" for s in r.suggestions)]
+                              if r.suggestions is not None else [])]
+                           for r in report.results
+                           if r.status is not WordStatus.CORRECT]
+
     def test_translit_file_replaces_bundled_rules(self, invoke, tmp_path):
         rules = tmp_path / "one.tsv"
         rules.write_text("gn\tñ\n", encoding="utf-8")
@@ -218,6 +286,15 @@ class TestSuggest:
         result = invoke(["suggest", "su-nu"])
         assert result.exit_code == EXIT_ERROR
         assert result.stderr.startswith("error: punctuation inside WORD 'su-nu'\n")
+
+    def test_costs_file_replaces_the_bundled_couples(self, invoke, tmp_path):
+        costs = tmp_path / "costs.tsv"
+        costs.write_text("x\tq\t1\n", encoding="utf-8")
+        bundled = invoke(["suggest", "-k", "3", "tank"])
+        assert bundled.stdout == "tànk\t1\nak\t2\ntakk\t2\n"
+        # a\tà is a bundled couple no longer listed, so it costs 2
+        result = invoke(["suggest", "-k", "3", "--costs", str(costs), "tank"])
+        assert result.stdout == "ak\t2\ntakk\t2\ntànk\t2\n"
 
     def test_costs_ascending(self, invoke):
         result = invoke(["suggest", "deuk"])

@@ -163,6 +163,14 @@ class TestEvaluate:
         assert report.histogram_all == {2: 1, 4: 1}
         assert report.histogram_wrong == {4: 1}
 
+    def test_unflagged_invalid_entry_counts_as_wrong(self, toy_checker):
+        # "bi" is a lexicon word, so the checker leaves it as it is: no
+        # correction was made, yet its top-1 is not the gold.
+        report = evaluate([CorpusEntry("bi", valid=False, gold="dëkk")],
+                          toy_checker)
+        assert report.counts == ConfusionCounts(tp=0, fp=1, fn=0, tn=0)
+        assert report.histogram_all == report.histogram_wrong == {4: 1}
+
     def test_every_gold_at_rank_one(self):
         checker = SpellChecker(TrieDict(["dëkk", "musiba"]))
         entries = [CorpusEntry("deuk", valid=False, gold="dëkk"),

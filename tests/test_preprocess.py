@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import string
@@ -17,6 +18,7 @@ from wolofspell.preprocess import (
     normalize,
     strip_punctuation,
     tokens,
+    utf8_lines,
     word,
 )
 from wolofspell.translit import RuleSet
@@ -146,6 +148,26 @@ class TestExclusionList:
             load_exclusion_list(path)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_exclusion_list(path)
+
+
+class TestUtf8Lines:
+    def test_universal_newlines_kept_and_stream_closed(self):
+        stream = io.BytesIO("\ufeffa\r\nb\rc\n\nd".encode("utf-8"))
+        assert list(utf8_lines(stream, "in")) == ["a\n", "b\n", "c\n", "\n", "d"]
+        assert stream.closed
+
+    def test_only_a_leading_byte_order_mark_dropped(self):
+        stream = io.BytesIO("\ufeff\ufeffa\n\ufeffb".encode("utf-8"))
+        assert list(utf8_lines(stream, "in")) == ["\ufeffa\n", "\ufeffb"]
+
+    @pytest.mark.parametrize("data, reason", [(b"a\n\xff\n", "invalid start byte"),
+                                              (b"a\xc3", "unexpected end of data")])
+    def test_bad_byte_raises_the_callers_error_naming_the_input(self, data,
+                                                                reason):
+        stream = io.BytesIO(data)
+        with pytest.raises(Rejected, match=f"^in: not UTF-8 text \\({reason}\\)$"):
+            list(utf8_lines(stream, "in", Rejected))
+        assert stream.closed
 
 
 class TestContainsDigit:

@@ -187,10 +187,12 @@ class TestLengthBound:
         result = suggest(query, sample_lexicon, model)
         assert result.nodes_expanded < sample_lexicon.node_count() / 2
 
-    def test_missing_characters_are_priced_as_insertions(self):
+    def test_missing_characters_are_charged_by_the_row_as_insertions(self):
         # "abb" needs two insertions (cost 2 under insert=1), a tie with
-        # substituting "b" that "abb" wins lexicographically; pricing the
-        # missing characters as deletions (3 each) would prune it.
+        # substituting "b" that "abb" wins lexicographically.  The length
+        # bound charges only deletions, for query letters beyond the longest
+        # word below a node; the two missing letters are charged by the DP
+        # row, at the insertion cost, not at the deletion cost of 3.
         model = CostModel(insert=1, delete=3)
         trie = TrieDict(["abb", "b"])
         assert suggest("a", trie, model, k=1).items == (Suggestion("abb", 2),)
