@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 
 from . import load_sample_lexicon
 from .alphabet import UnsegmentableError, segment
@@ -127,26 +128,27 @@ def check(args, checker: SpellChecker, fmt: str) -> int:
     (position, original, status, replacement).  A byte that is not UTF-8
     exits 1, after the lines decoded before it are written.
     """
-    stream = sys.stdin.buffer if args.INPUT == "-" else open(args.INPUT, "rb")
+    stdin = args.INPUT == "-"  # read, but left open: its opener closes it
     position = 0  # of the line's first token in the whole input
-    for line in utf8_lines(stream, "<stdin>" if args.INPUT == "-" else args.INPUT):
-        report = checker.check_text(line)
-        sys.stdout.write(report.corrected_text)  # with the line's break, if any
-        for at, result in enumerate(report.results, position):
-            if result.status is WordStatus.CORRECT:
-                continue
-            if fmt == "structured":
-                fields = [str(at), result.original.surface,
-                          result.status.value, result.corrected or ""]
-                if result.suggestions is not None:
-                    fields.append(",".join(f"{s.word}:{s.cost}" for s in result.suggestions))
-                print("\t".join(fields), file=sys.stderr)
-            else:
-                detail = {WordStatus.CORRECTED: f"corrected to {result.corrected!r}",
-                          WordStatus.NO_SUGGESTION: "no suggestion found",
-                          }.get(result.status, "dropped")
-                print(f"word {at} {result.original.surface!r}: {detail}", file=sys.stderr)
-        position += len(report.results)
+    with nullcontext(sys.stdin.buffer) if stdin else open(args.INPUT, "rb") as stream:
+        for line in utf8_lines(stream, "<stdin>" if stdin else args.INPUT):
+            report = checker.check_text(line)
+            sys.stdout.write(report.corrected_text)  # with the line's break, if any
+            for at, result in enumerate(report.results, position):
+                if result.status is WordStatus.CORRECT:
+                    continue
+                if fmt == "structured":
+                    fields = [str(at), result.original.surface,
+                              result.status.value, result.corrected or ""]
+                    if result.suggestions is not None:
+                        fields.append(",".join(f"{s.word}:{s.cost}" for s in result.suggestions))
+                    print("\t".join(fields), file=sys.stderr)
+                else:
+                    detail = {WordStatus.CORRECTED: f"corrected to {result.corrected!r}",
+                              WordStatus.NO_SUGGESTION: "no suggestion found",
+                              }.get(result.status, "dropped")
+                    print(f"word {at} {result.original.surface!r}: {detail}", file=sys.stderr)
+            position += len(report.results)
     return EXIT_OK
 
 

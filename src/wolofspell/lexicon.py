@@ -11,8 +11,7 @@ word ends.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from . import preprocess
 from .preprocess import MalformedInputError, contains_digit, content_lines
@@ -22,25 +21,19 @@ class MalformedLexiconError(MalformedInputError):
     """A lexicon word does not read as one token, or holds a digit."""
 
 
-# The children of every leaf: one shared read-only mapping, so a leaf holds
-# no dict of its own.  ``_insert`` gives a node its own dict when its first
-# child arrives.
-_NO_CHILDREN: Mapping[str, "_Node"] = MappingProxyType({})
+class _Node(dict):
+    """A trie node: a dict from each edge letter to the child it leads to,
+    so a leaf is an empty node.  ``end`` is true where a word ends.  The
+    suggestion walk's two bounds stay 0 until the first search calls
+    ``TrieDict.letters()``, which fills both on every node in one pass:
+    ``hi`` is the longest remaining length of a word ending in this node's
+    subtree, and ``below`` a bitmask of the letters on the edges under the
+    node, one bit per letter as ``letters()`` numbers them (both 0 on a
+    leaf)."""
 
-
-class _Node:
-    """A trie node.  ``end`` is true where a word ends.  ``hi`` is the
-    longest remaining length of a word ending in this node's subtree (0 on
-    a node with no word below it yet); the suggestion walk bounds deletion
-    costs with it.  ``below`` is a bitmask of the letters on the edges
-    under the node, one bit per letter as ``TrieDict.letters()`` numbers
-    them (0 on a leaf); it is filled by the first ``letters()`` call, not
-    while inserting."""
-
-    __slots__ = ("children", "end", "hi", "below")
+    __slots__ = ("end", "hi", "below")
 
     def __init__(self):
-        self.children: Mapping[str, _Node] = _NO_CHILDREN
         self.end = False
         self.hi = 0
         self.below = 0
@@ -66,18 +59,10 @@ class TrieDict:
         if contains_digit(word):
             raise MalformedLexiconError(f"digit inside word {word!r}")
         node = self.root
-        rest = len(word)
         for c in word:
-            if rest > node.hi:
-                node.hi = rest
-            rest -= 1
-            if node.children is _NO_CHILDREN:  # a leaf until now
-                child = _Node()
-                node.children = {c: child}
-            else:
-                child = node.children.get(c)
-                if child is None:
-                    child = node.children[c] = _Node()
+            child = node.get(c)
+            if child is None:
+                child = node[c] = _Node()
             node = child
         if not node.end:
             node.end = True
@@ -86,27 +71,29 @@ class TrieDict:
     def letters(self) -> dict[str, int]:
         """Each letter on a trie edge, mapped to its bit in ``_Node.below``.
 
-        The first call sets every node's ``below`` mask, in one iterative
-        post-order pass; later calls return the same map.  Lookup never
-        needs the masks, so a trie only ever used for checking never pays
-        for them.
+        The first call sets every node's ``hi`` and ``below``, in one
+        iterative post-order pass; later calls return the same map.  Lookup
+        needs neither, so a trie only ever used for checking never pays for
+        them.
         """
         if self._letters is None:
-            # Leaves are skipped: their mask stays 0.
+            # Leaves are skipped: both their bounds stay 0.
             order = [self.root]  # pre-order: a node before its descendants
             found = set()
             for node in order:
-                children = node.children
-                if children is not _NO_CHILDREN:
-                    found.update(children)
-                    order.extend(children.values())
+                if node:
+                    found.update(node)
+                    order.extend(node.values())
             bits = {c: 1 << i for i, c in enumerate(sorted(found))}
             for node in reversed(order):  # children before their parent
-                children = node.children
-                if children is not _NO_CHILDREN:
-                    below = 0
-                    for c, child in children.items():
+                if node:
+                    hi = below = 0
+                    for c, child in node.items():
                         below |= bits[c] | child.below
+                        rest = child.hi
+                        if rest >= hi:
+                            hi = rest + 1
+                    node.hi = hi
                     node.below = below
             self._letters = bits
         return self._letters
@@ -114,10 +101,11 @@ class TrieDict:
     def contains(self, word: str) -> bool:
         """True iff the path for ``word`` exists and ends where a word ends."""
         node = self.root
-        for c in word:
-            node = node.children.get(c)
-            if node is None:
-                return False
+        try:  # cheaper than a test per letter, and a miss is the rare case
+            for c in word:
+                node = node[c]
+        except KeyError:
+            return False
         return node.end
 
     def iterate(self) -> Iterator[str]:
@@ -130,8 +118,8 @@ class TrieDict:
             node, prefix = stack.pop()
             if node.end:
                 yield prefix
-            for c in sorted(node.children, reverse=True):
-                stack.append((node.children[c], prefix + c))
+            for c in sorted(node, reverse=True):
+                stack.append((node[c], prefix + c))
 
     def node_count(self) -> int:
         """Number of trie nodes, the root included."""
@@ -140,7 +128,7 @@ class TrieDict:
         while stack:
             node = stack.pop()
             count += 1
-            stack.extend(node.children.values())
+            stack.extend(node.values())
         return count
 
 

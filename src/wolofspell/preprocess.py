@@ -71,13 +71,16 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def utf8_lines(stream, name, error=ValueError):
     """The lines of the binary ``stream`` with their newlines, less one
-    leading BOM, then close it; a non-UTF-8 byte raises ``error`` naming ``name``."""
-    with io.TextIOWrapper(stream, encoding="utf-8") as text:
-        try:
-            for lineno, line in enumerate(text):  # not "utf-8-sig": slow to import
-                yield line if lineno else line.removeprefix("\ufeff")
-        except UnicodeDecodeError as err:
-            raise error(f"{name}: not UTF-8 text ({err.reason})") from None
+    leading BOM, leaving it open; a non-UTF-8 byte raises ``error`` naming ``name``."""
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        for lineno, line in enumerate(text):  # not "utf-8-sig": slow to import
+            yield line if lineno else line.removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise error(f"{name}: not UTF-8 text ({err.reason})") from None
+    finally:
+        if not stream.closed:  # the opener's ``with`` may have closed it
+            text.detach()
 
 
 def content_lines(path, parse, error=ValueError):
@@ -87,14 +90,15 @@ def content_lines(path, parse, error=ValueError):
     otherwise stripped; a line left blank is skipped.  A ValueError from
     ``parse`` comes out as its own class with ``path:line: `` before it.
     """
-    for lineno, line in enumerate(utf8_lines(open(path, "rb"), path, error), 1):
-        text = line.partition("#")[0].rstrip("\n")
-        if text.strip():
-            try:
-                row = parse(text)
-            except ValueError as err:
-                raise type(err)(f"{path}:{lineno}: {err}") from None
-            yield lineno, row
+    with open(path, "rb") as stream:
+        for lineno, line in enumerate(utf8_lines(stream, path, error), 1):
+            text = line.partition("#")[0].rstrip("\n")
+            if text.strip():
+                try:
+                    row = parse(text)
+                except ValueError as err:
+                    raise type(err)(f"{path}:{lineno}: {err}") from None
+                yield lineno, row
 
 
 def load_exclusion_list(path) -> frozenset[str]:

@@ -14,9 +14,9 @@ of the query, ``query[i:]``, into the rest of the word, for some i; taking
 that second cost as 0 gives the row minimum, Ukkonen's cut-off.  Two lower
 bounds on that second cost raise it:
 
-- Length.  The rest of the word has at most ``hi`` characters (stored on
-  each trie node), so turning ``query[i:]`` into it takes at least one
-  deletion per character beyond ``hi``.
+- Length.  The rest of the word has at most ``hi`` characters (the
+  node's longest remaining length), so turning ``query[i:]`` into it
+  takes at least one deletion per character beyond ``hi``.
 - Letters.  Every letter of the rest of the word is in the node's ``below``
   mask (the letters on the edges under it).  A letter of ``query[i:]``
   outside the mask cannot be matched, so it is deleted or substituted for
@@ -30,7 +30,8 @@ The max of two lower bounds is a lower bound, so the bound used is the
 minimum over i of ``row[i]`` plus the larger of the two penalties, never
 below the row minimum.  One vector holds that larger penalty for every i;
 vectors are cached per query by ``(hi, letters held)``, the query letters
-being those the node's mask holds.
+being those the node's mask holds.  One ``TrieDict.letters()`` pass fills
+``hi`` and ``below`` on the first pruned search, which checking never makes.
 
 The walk is iterative, on an explicit stack, so word length is not limited
 by recursion depth.  A node's bound is checked again when it is popped,
@@ -148,7 +149,7 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         nodes += 1
         first, tail = row[0] + ins, row[1:]
         kept = []
-        for c, child in node.children.items():
+        for c, child in node.items():
             col = cols.get(c)
             if col is None:
                 col = cols[c] = [sub(q, c) for q in query]
@@ -183,7 +184,7 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
                         best.pop()
                     if len(best) == k and best[-1][0] < ceiling:
                         ceiling = best[-1][0]
-            if child.children:
+            if child:
                 kept.append((bound, child, child_row, word))
             else:
                 nodes += 1  # a leaf: offered above, nothing left to expand

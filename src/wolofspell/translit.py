@@ -10,11 +10,12 @@ elimination has to come after rule application: patterns like "kh" and
 "th" contain letters that elimination would destroy.
 
 Rules live in a TSV file (``pattern<TAB>replacement``, empty replacement
-deletes the pattern); patterns and replacements are lowercased and
-NFC-composed like tokens, a replacement is trimmed, and no pattern holds
-whitespace, as no token does.  A rule file replaces the bundled default
-set rather than adding to it: to extend the bundled set, copy
-``data/translit_rules.tsv`` and add rows to the copy.
+deletes the pattern), or in a mapping given to ``RuleSet``, which is read
+the same way: patterns and replacements are lowercased and NFC-composed
+like tokens, a replacement is trimmed, no pattern holds whitespace, as no
+token does, and no two patterns are the same once normalized.  A rule
+file replaces the bundled default set rather than adding to it: to extend
+the bundled set, copy ``data/translit_rules.tsv`` and add rows to the copy.
 """
 
 from __future__ import annotations
@@ -28,34 +29,34 @@ from .preprocess import DATA_DIR, content_lines, normalize
 MAX_PATTERN_LEN = 4
 
 
-def _check_pattern(pattern: str) -> None:
+def _rule(*columns: str) -> tuple[str, str]:
+    """A rule file's row, or a mapping's item, as the rule it is kept as."""
+    if len(columns) != 2:
+        raise ValueError("expected pattern<TAB>replacement")
+    pattern = normalize(columns[0])
     if not 1 <= len(pattern) <= MAX_PATTERN_LEN:
         raise ValueError(f"pattern {pattern!r} is not 1 to {MAX_PATTERN_LEN} letters")
     if any(c.isspace() for c in pattern):
         raise ValueError(f"whitespace in pattern {pattern!r}")
-
-
-def _rule(text: str) -> tuple[str, str]:
-    parts = text.split("\t")
-    if len(parts) != 2:
-        raise ValueError("expected pattern<TAB>replacement")
-    pattern = normalize(parts[0])
-    _check_pattern(pattern)
-    return pattern, normalize(parts[1].strip())
+    return pattern, normalize(columns[1].strip())
 
 
 class RuleSet:
-    """Transliteration rules: each pattern maps to its replacement."""
+    """Transliteration rules: each pattern maps to its replacement, both
+    read like a rule file's row (see the module docstring)."""
 
     def __init__(self, rules: Mapping[str, str]):
-        self.rules = dict(rules)
-        for pattern in self.rules:
-            _check_pattern(pattern)
+        self.rules = {}
+        for pattern, replacement in map(_rule, rules.keys(), rules.values()):
+            if pattern in self.rules:
+                raise ValueError(f"duplicate pattern {pattern!r}")
+            self.rules[pattern] = replacement
 
     @classmethod
     def from_file(cls, path) -> "RuleSet":
         rules = {}
-        for lineno, (pattern, replacement) in content_lines(path, _rule):
+        rows = content_lines(path, lambda text: _rule(*text.split("\t")))
+        for lineno, (pattern, replacement) in rows:
             if pattern in rules:
                 raise ValueError(f"{path}:{lineno}: duplicate pattern {pattern!r}")
             rules[pattern] = replacement

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import wolofspell
 from wolofspell import SpellChecker, WordStatus, load_sample_lexicon
-from wolofspell.cli import EXIT_ERROR, EXIT_MALFORMED, run
+from wolofspell.cli import EXIT_ERROR, EXIT_MALFORMED, EXIT_OK, run
 from wolofspell.evaluation import parse_report
 
 
@@ -120,6 +120,31 @@ class TestCheck:
         set_stdin(monkeypatch, "dëkk\n".encode("latin-1"))
         assert run(["check"]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: <stdin>: not UTF-8")
+
+    def test_stdin_stays_open_for_a_second_run(self, monkeypatch, capsys):
+        # the reader leaves stdin to its opener, so a second in-process run
+        # reads it at its end, as an empty input
+        set_stdin(monkeypatch, b"deuk\n")
+        assert run(["check"]) == EXIT_OK
+        assert run(["check"]) == EXIT_OK
+        assert not sys.stdin.buffer.closed
+        out, err = capsys.readouterr()
+        assert out == "dëkk\n"
+        assert err == "word 0 'deuk': corrected to 'dëkk'\n"
+
+    def test_input_file_closed_after_the_run(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"deuk\n")
+        monkeypatch.setattr("builtins.open", recording_open)
+        assert run(["check", str(path)]) == EXIT_OK
+        assert opened and all(f.closed for f in opened)
 
     def test_non_utf8_input_file_exits_1_naming_it(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"

@@ -2,9 +2,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolofspell import sample_lexicon_path
-from wolofspell.lexicon import _NO_CHILDREN, MalformedLexiconError, TrieDict, load
+from wolofspell.lexicon import MalformedLexiconError, TrieDict, load
 from wolofspell.pipeline import SpellChecker, WordStatus
 
 
@@ -163,41 +164,65 @@ class TestIterate:
         assert len(sample_words) == len(set(sample_words))
 
 
+# Word lists that hold the prefixes of every other word too: words that end
+# where others go on, inserted both before and after them.
+WORD_LISTS = st.lists(st.text("abcñ", min_size=1, max_size=6),
+                      min_size=1, max_size=12).map(
+    lambda words: words + [w[:i] for w in words[::2] for i in range(1, len(w))])
+
+
+def assert_end_and_hi(words):
+    """Every node's end flag and hi against the words that extend its
+    prefix, read off the word list, in both insertion orders."""
+    for order in (words, words[::-1]):
+        trie = TrieDict(order)
+        trie.letters()
+        stack = [(trie.root, "")]
+        while stack:
+            node, prefix = stack.pop()
+            rest = [len(w) - len(prefix) for w in words if w.startswith(prefix)]
+            assert node.hi == max(rest), prefix
+            assert node.end == (prefix in words), prefix
+            stack.extend((child, prefix + c) for c, child in node.items())
+
+
+def assert_below(words):
+    """Every node's mask against the union of the letters that the words
+    extending its prefix have after it, in both insertion orders."""
+    for order in (words, words[::-1]):
+        trie = TrieDict(order)
+        bits = trie.letters()
+        assert sorted(bits) == sorted(set("".join(words)))
+        assert sorted(bits.values()) == [1 << i for i in range(len(bits))]
+        stack = [(trie.root, "")]
+        while stack:
+            node, prefix = stack.pop()
+            below = {c for w in words if w.startswith(prefix)
+                     for c in w[len(prefix):]}
+            assert node.below == sum(bits[c] for c in below), prefix
+            stack.extend((child, prefix + c) for c, child in node.items())
+
+
 class TestLengthBounds:
     def test_end_and_hi_match_the_words_below_each_node(self, sample_words):
-        # every node's end flag and hi against the words that extend its
-        # prefix, read off the word list, in two insertion orders
-        small = ["ab", "abcd", "b", "abc"]
-        for words in (sample_words, sample_words[::-1], small, small[::-1]):
-            stack = [(TrieDict(words).root, "")]
-            while stack:
-                node, prefix = stack.pop()
-                rest = [len(w) - len(prefix) for w in words
-                        if w.startswith(prefix)]
-                assert node.hi == max(rest), prefix
-                assert node.end == (prefix in words), prefix
-                stack.extend((child, prefix + c)
-                             for c, child in node.children.items())
+        assert_end_and_hi(sample_words)
+        assert_end_and_hi(["ab", "abcd", "b", "abc"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=WORD_LISTS)
+    def test_end_and_hi_match_on_generated_words(self, words):
+        assert_end_and_hi(words)
 
 
 class TestLetterMasks:
     def test_below_matches_the_letters_under_each_node(self, sample_words):
-        # every node's mask against the union of the letters that the words
-        # extending its prefix have after it, in two insertion orders
-        small = ["ab", "abcd", "b", "abc", "ñà"]
-        for words in (sample_words, sample_words[::-1], small, small[::-1]):
-            trie = TrieDict(words)
-            bits = trie.letters()
-            assert sorted(bits) == sorted(set("".join(words)))
-            assert sorted(bits.values()) == [1 << i for i in range(len(bits))]
-            stack = [(trie.root, "")]
-            while stack:
-                node, prefix = stack.pop()
-                below = {c for w in words if w.startswith(prefix)
-                         for c in w[len(prefix):]}
-                assert node.below == sum(bits[c] for c in below), prefix
-                stack.extend((child, prefix + c)
-                             for c, child in node.children.items())
+        assert_below(sample_words)
+        assert_below(["ab", "abcd", "b", "abc", "ñà"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=WORD_LISTS)
+    def test_below_matches_on_generated_words(self, words):
+        assert_below(words)
 
     def test_second_call_returns_the_same_map(self, sample_words):
         trie = TrieDict(sample_words)
@@ -212,31 +237,20 @@ class TestLetterMasks:
         report = checker.check_text(" ".join(sample_words[:50]))
         assert {r.status for r in report.results} == {WordStatus.CORRECT}
         assert trie._letters is None
-        assert trie.root.below == 0
+        assert trie.root.hi == trie.root.below == 0
         checker.check_text("deuk")
         assert trie._letters is not None
-        assert trie.root.below != 0
+        assert trie.root.hi != 0 and trie.root.below != 0
 
 
-class TestSharedLeafChildren:
-    def test_leaves_share_one_empty_mapping(self):
-        trie = TrieDict(["ab", "ac"])
-        a = trie.root.children["a"]
-        assert a.children["b"].children is a.children["c"].children \
-            is _NO_CHILDREN
-
+class TestLeaves:
     def test_a_word_extends_a_shorter_one(self):
         trie = TrieDict(["ab", "abcd"])
         assert list(trie.iterate()) == ["ab", "abcd"]
         assert trie.contains("ab") and not trie.contains("abc")
-        ab = trie.root.children["a"].children["b"]
-        assert ab.children is not _NO_CHILDREN
-        assert len(_NO_CHILDREN) == 0
-
-    def test_shared_mapping_is_read_only(self):
-        with pytest.raises(TypeError):
-            _NO_CHILDREN["a"] = None
-        assert len(_NO_CHILDREN) == 0
+        ab = trie.root["a"]["b"]
+        assert ab.end and list(ab) == ["c"]
+        assert trie.root["a"]["b"]["c"]["d"] == {}
 
 
 class TestNodeCount:

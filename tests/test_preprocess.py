@@ -151,10 +151,18 @@ class TestExclusionList:
 
 
 class TestUtf8Lines:
-    def test_universal_newlines_kept_and_stream_closed(self):
+    def test_universal_newlines_kept_and_stream_left_open(self):
+        # whoever opened the stream closes it: stdin, say, stays usable
         stream = io.BytesIO("\ufeffa\r\nb\rc\n\nd".encode("utf-8"))
         assert list(utf8_lines(stream, "in")) == ["a\n", "b\n", "c\n", "\n", "d"]
-        assert stream.closed
+        assert not stream.closed
+
+    def test_stream_left_open_when_reading_stops_early(self):
+        stream = io.BytesIO(b"a\nb\n")
+        lines = utf8_lines(stream, "in")
+        assert next(lines) == "a\n"
+        lines.close()
+        assert not stream.closed
 
     def test_only_a_leading_byte_order_mark_dropped(self):
         stream = io.BytesIO("\ufeff\ufeffa\n\ufeffb".encode("utf-8"))
@@ -167,7 +175,7 @@ class TestUtf8Lines:
         stream = io.BytesIO(data)
         with pytest.raises(Rejected, match=f"^in: not UTF-8 text \\({reason}\\)$"):
             list(utf8_lines(stream, "in", Rejected))
-        assert stream.closed
+        assert not stream.closed
 
 
 class TestContainsDigit:

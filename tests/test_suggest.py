@@ -282,7 +282,7 @@ class TestGeneratedTries:
                         assert least <= weighted_levenshtein(
                             query[i:], rest, model), (prefix, rest, i)
             stack.extend((child, prefix + c)
-                         for c, child in node.children.items())
+                         for c, child in node.items())
 
 
 class TestLongWord:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,23 @@ class TestRuleSet:
         rules = RuleSet.from_file(path)
         assert rules.rules == {"ou": "u"}
         assert transform("mousiba", rules) == "musiba"
+
+    def test_mapping_read_like_the_file(self):
+        # an uppercase pattern or replacement, a decomposed accent and
+        # padding are normalized as a file's rows are
+        assert transform("khar", RuleSet({"Kh": "x"})) == "xar"
+        assert transform("khar", RuleSet({"kh": "X"})) == "xar"
+        decomposed = unicodedata.normalize("NFD", "é")
+        assert len(decomposed) == 2
+        rules = RuleSet({"a": decomposed, "OU": " U "})
+        assert rules.rules == {"a": "é", "ou": "u"}
+        assert transform("ba", rules) == "bé"
+
+    def test_mapping_patterns_equal_once_normalized_rejected(self):
+        with pytest.raises(ValueError, match="duplicate pattern 'ou'"):
+            RuleSet({"OU": "u", "ou": "w"})
+        with pytest.raises(ValueError, match="duplicate pattern 'é'"):
+            RuleSet({"é": "e", unicodedata.normalize("NFD", "é"): "e"})
 
     def test_default_rules_load(self):
         rules = _default_ruleset()
