@@ -51,13 +51,20 @@ def _output_format(text: str) -> str:
     return text
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
 # setting: (flag, parse-and-check, default, metavar, help).  A setting is
-# also read from WOLOFSPELL_<SETTING> and from the config key <setting>.
+# also read from WOLOFSPELL_<SETTING> and, config aside, from the config key.
 _SETTINGS = {
-    "lexicon": ("--lexicon", str, None, "PATH", "Lexicon file (default: bundled sample)."),
-    "costs": ("--costs", str, None, "PATH", "Substitution-cost file (replaces the bundled accent couples)."),
-    "translit": ("--translit", str, None, "PATH", "Transliteration rule file (replaces the bundled rules)."),
-    "exclude": ("--exclude", str, None, "PATH", "Exclusion list of words to drop."),
+    "config": ("--config", _path, None, "PATH", "Config file (key = value lines)."),
+    "lexicon": ("--lexicon", _path, None, "PATH", "Lexicon file (default: bundled sample)."),
+    "costs": ("--costs", _path, None, "PATH", "Substitution-cost file (replaces the bundled accent couples)."),
+    "translit": ("--translit", _path, None, "PATH", "Transliteration rule file (replaces the bundled rules)."),
+    "exclude": ("--exclude", _path, None, "PATH", "Exclusion list of words to drop."),
     "k": ("-k", lambda text: _integer(text, least=1), 10, "N",
           "Suggestion list depth (default: 10)."),
     "max_cost": ("--max-cost", lambda text: _integer(text, least=0), None, "C",
@@ -71,7 +78,7 @@ def _config_row(text: str) -> tuple[str, str]:
     key, equals, value = (part.strip() for part in text.partition("="))
     if not equals:
         raise ValueError("expected key = value")
-    if key not in _SETTINGS:
+    if key not in _SETTINGS or key == "config":
         raise ValueError(f"unknown setting {key!r}")
     return key, value
 
@@ -88,22 +95,21 @@ def read_config_file(path) -> dict[str, str]:
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """Every setting from its first source: flag, environment, config, default."""
-    config = (args.config if args.config is not None
-              else os.environ.get("WOLOFSPELL_CONFIG"))
-    file_values = read_config_file(config) if config else {}
-    settings = {}
+    settings, file_values = {}, {}
     for name, (flag, parse, default, _, _) in _SETTINGS.items():
         env = f"WOLOFSPELL_{name.upper()}"
         settings[name] = default
         for source, text in ((flag, getattr(args, name)),
                              (env, os.environ.get(env) or None),
-                             (f"{config}: {name}", file_values.get(name))):
+                             (f"{settings['config']}: {name}", file_values.get(name))):
             if text is not None:
                 try:
                     settings[name] = parse(text)
                 except ValueError as err:
                     raise ValueError(f"{source}: invalid value {text!r}: {err}") from None
                 break
+        if name == "config" and settings[name]:  # the first setting
+            file_values = read_config_file(settings[name])
     return settings
 
 
@@ -225,8 +231,6 @@ def _parser() -> _Parser:
         sub = commands.add_parser(name, help=command.__doc__.split("\n")[0],
                                   description=command.__doc__)
         sub.set_defaults(command=command, parser=sub)
-        sub.add_argument("--config", metavar="PATH",
-                         help="Config file (key = value lines).")
         for setting, (flag, _, _, metavar, help_text) in _SETTINGS.items():
             sub.add_argument(flag, dest=setting, metavar=metavar, help=help_text)
         if operand:  # only check's INPUT is optional, and stdin by default

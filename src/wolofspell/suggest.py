@@ -3,7 +3,7 @@
 One dynamic-programming row (indexed by query prefix, length |query|+1) is
 carried down every trie edge, so words sharing a prefix share the work of
 the distance computation.  Substitution costs are looked up once per query
-and trie character (a column over the query), not once per cell.
+and lexicon letter (a column over the query), not once per cell.
 
 A subtree is abandoned when a lower bound on the cost of every word in it
 exceeds the cost ceiling (the current k-th best cost, or the caller's cap).
@@ -30,8 +30,9 @@ The max of two lower bounds is a lower bound, so the bound used is the
 minimum over i of ``row[i]`` plus the larger of the two penalties, never
 below the row minimum.  One vector holds that larger penalty for every i;
 vectors are cached per query by ``(hi, letters held)``, the query letters
-being those the node's mask holds.  One ``TrieDict.letters()`` pass fills
-``hi`` and ``below`` on the first pruned search, which checking never makes.
+being those the node's mask holds, within a fixed budget of cells.  One
+``TrieDict.letters()`` pass fills ``hi`` and ``below`` on the first search,
+which checking never makes.
 
 The walk is iterative, on an explicit stack, so word length is not limited
 by recursion depth.  A node's bound is checked again when it is popped,
@@ -39,8 +40,7 @@ since the ceiling may have fallen since it was pushed, and siblings are
 pushed so that the one with the lowest bound is visited first.  Every word
 that is not pruned is offered with its exact cost, and a pruned word costs
 more than a ceiling that never rises again, so visit order changes how much
-is pruned, never the result: the pruned walk returns exactly what a full
-scan would.
+is pruned, never the result: it is exactly what a full scan returns.
 
 Candidates rank by (cost, word): cheapest first, lexicographic among equals.
 """
@@ -50,7 +50,6 @@ from __future__ import annotations
 import bisect
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -59,6 +58,8 @@ from .lexicon import TrieDict
 
 
 _bound = itemgetter(0)
+
+_PENALTY_CELLS = 1 << 18  # cached per search; natural queries need 1-2k
 
 
 class EmptyLexiconError(ValueError):
@@ -105,14 +106,8 @@ def validate_settings(model: CostModel, k: int, max_cost: int | None) -> None:
 
 
 def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
-            k: int = 10, max_cost: int | None = None,
-            prune: bool = True) -> SuggestionList:
-    """The ``k`` lexicon words cheapest to reach from ``query``.
-
-    ``prune=False`` disables subtree abandonment (the full trie is walked);
-    the result is identical and the flag exists so the pruning can be
-    checked and measured against the exhaustive walk.
-    """
+            k: int = 10, max_cost: int | None = None) -> SuggestionList:
+    """The ``k`` lexicon words cheapest to reach from ``query``."""
     if not query:
         raise ValueError("query must be non-empty")
     if trie.word_count == 0:
@@ -121,20 +116,20 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     validate_settings(model, k, max_cost)
     ins, dele, sub = model.insert, model.delete, model.substitute_cost
     n = len(query)
-    letters = trie.letters() if prune else {}
+    letters = trie.letters()
+    # cols[c][i]: cost of substituting lexicon letter c for query[i].
+    cols = {c: [sub(q, c) for q in query] for c in letters}
     # A query letter's bit, 0 for one no lexicon word holds; qmask: all bits.
     qbits = [letters.get(q, 0) for q in query]
     qmask = 0
     for bit in qbits:
         qmask |= bit
-    qweights = _letter_weights(query, letters, dele, sub)
+    qweights = _letter_weights(query, cols, dele)
 
     # best[] holds (cost, word) sorted ascending, at most k entries.  No word
     # costing more than ceiling can enter it; ceiling falls once best is full.
     best: list[tuple[int, str]] = []
     ceiling = sys.maxsize if max_cost is None else max_cost
-    # cols[c][i]: cost of substituting trie character c for query[i].
-    cols: dict[str, list[int]] = {}
     # pens[hi, have][i]: a lower bound on turning query[i:] into the rest
     # of a word below a node with that longest length and query letters held.
     pens: dict[tuple[int, int], list[int]] = {}
@@ -150,12 +145,9 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
         first, tail = row[0] + ins, row[1:]
         kept = []
         for c, child in node.items():
-            col = cols.get(c)
-            if col is None:
-                col = cols[c] = [sub(q, c) for q in query]
             diag, left = row[0], first
             child_row = [first]
-            for up, cell in zip(tail, col):
+            for up, cell in zip(tail, cols[c]):
                 cell += diag
                 diag = up
                 up += ins
@@ -166,15 +158,15 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
                     cell = left
                 child_row.append(cell)
                 left = cell
-            bound = 0
-            if prune:
-                key = (child.hi, child.below & qmask)
-                pen = pens.get(key)
-                if pen is None:
-                    pen = pens[key] = _penalties(qbits, qweights, *key, dele)
-                bound = min(map(add, child_row, pen))
-                if bound > ceiling:
-                    continue
+            key = (child.hi, child.below & qmask)
+            pen = pens.get(key)
+            if pen is None:
+                if len(pens) * n > _PENALTY_CELLS:
+                    pens.clear()
+                pen = pens[key] = _penalties(qbits, qweights, *key, dele)
+            bound = min(map(add, child_row, pen))
+            if bound > ceiling:
+                continue
             word = prefix + c
             if child.end:
                 cost = child_row[-1]
@@ -196,16 +188,11 @@ def suggest(query: str, trie: TrieDict, model: CostModel | None = None,
     return SuggestionList(items=items, query=query, nodes_expanded=nodes)
 
 
-def _letter_weights(query: str, letters: dict[str, int], dele: int,
-                    sub) -> list[int]:
-    """Per query position, the least cost of its letter q where no word can
-    match it: a deletion, or a substitution by a lexicon letter other
-    than q."""
-    weights: dict[str, int] = {}
-    for q in set(query):
-        weights[q] = min(dele, min(map(sub, repeat(q), letters.keys() - {q}),
-                                   default=dele))
-    return [weights[q] for q in query]
+def _letter_weights(query: str, cols: dict, dele: int) -> list[int]:
+    """Per query position i, the least cost of its letter q where no word
+    can match it: a deletion, or ``cols[c][i]`` for a lexicon letter c != q."""
+    return [min([dele] + [col[i] for c, col in cols.items() if c != q])
+            for i, q in enumerate(query)]
 
 
 def _penalties(qbits: list[int], qweights: list[int], hi: int, have: int,

@@ -581,6 +581,33 @@ class TestConfigResolution:
         assert result.stderr.startswith(f"error: {named}: invalid value {value!r}")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("source, key", [
+        *(("flag", key) for key in ("lexicon", "costs", "translit", "exclude",
+                                    "config")),
+        *(("config", key) for key in ("lexicon", "costs", "translit", "exclude")),
+    ])
+    def test_empty_path_names_its_source(self, invoke, tmp_path, source, key):
+        # an empty path is not the default: --lexicon "$UNSET" must not check
+        # against the bundled sample
+        if source == "flag":
+            args, named = ["check", f"--{key}", ""], f"--{key}"
+        else:
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"{key} =\n", encoding="utf-8")
+            args, named = ["check", "--config", str(cfg)], f"{cfg}: {key}"
+        result = invoke(args, input="deuk\n")
+        assert result.exit_code == EXIT_ERROR
+        assert result.stdout == ""
+        assert result.stderr == f"error: {named}: invalid value '': empty path\n"
+
+    @pytest.mark.parametrize("key", ["lexicon", "costs", "translit", "exclude",
+                                     "config"])
+    def test_empty_path_env_var_counts_as_unset(self, invoke, key):
+        result = invoke(["check"], input="deuk\n",
+                        env={f"WOLOFSPELL_{key.upper()}": ""})
+        assert result.exit_code == 0
+        assert result.stdout == "dëkk\n"
+
 
 # Fragments that generated input files are built from: pieces of every file
 # format the CLI reads, plus bytes that are not UTF-8.

@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wolofspell
 from wolofspell.alphabet import WOLOF_CHARS
 from wolofspell.distance import CostModel, weighted_levenshtein
 from wolofspell.lexicon import TrieDict
@@ -148,8 +153,8 @@ class TestPruning:
         for query in mutations(sample_words, rng, 60):
             for k in (1, 5, 10):
                 pruned = suggest(query, sample_lexicon, model, k=k)
-                full = suggest(query, sample_lexicon, model, k=k, prune=False)
-                assert pruned.items == full.items, (query, k)
+                assert [(s.word, s.cost) for s in pruned.items] == \
+                    linear_scan(query, sample_words, model, k), (query, k)
 
     def test_pruned_walk_expands_fewer_nodes(self, sample_lexicon,
                                              sample_words, model):
@@ -157,17 +162,15 @@ class TestPruning:
         total_nodes = sample_lexicon.node_count()
         for query in mutations(sample_words, rng, 30):
             pruned = suggest(query, sample_lexicon, model, k=1)
-            full = suggest(query, sample_lexicon, model, k=1, prune=False)
-            assert full.nodes_expanded == total_nodes
-            assert pruned.nodes_expanded < full.nodes_expanded
+            assert pruned.nodes_expanded < total_nodes
 
 
 class TestLengthBound:
     def test_length_bound_prunes_where_row_minimum_would_not(self, model):
         trie = TrieDict(["aaaa", "ba"])
         pruned = suggest("aaaa", trie, model, k=10, max_cost=1)
-        full = suggest("aaaa", trie, model, k=10, max_cost=1, prune=False)
-        assert pruned.items == full.items == (Suggestion("aaaa", 0),)
+        assert pruned.items == (Suggestion("aaaa", 0),)
+        assert linear_scan("aaaa", ["aaaa", "ba"], model, 10, 1) == [("aaaa", 0)]
         # At node "b" the row over "", "a", ..., "aaaa" is [1, 2, 3, 4, 5],
         # so the row minimum alone would expand it under max_cost=1, and "a"
         # is below it, so no letter is priced.  But the only word below "b"
@@ -175,7 +178,7 @@ class TestLengthBound:
         # penalties are [3, 2, 1, 0, 0] and the bound is 4.  Only the root,
         # "a", "aa", "aaa" and the leaf "aaaa" are expanded.
         assert pruned.nodes_expanded == 5
-        assert full.nodes_expanded == trie.node_count() == 7
+        assert trie.node_count() == 7
 
     def test_long_junk_query_expands_under_half_the_trie(self, sample_lexicon,
                                                          model):
@@ -202,8 +205,8 @@ class TestLetterBound:
     def test_letter_bound_prunes_where_length_bound_would_not(self, model):
         trie = TrieDict(["ab", "cd"])
         pruned = suggest("ab", trie, model, k=10, max_cost=2)
-        full = suggest("ab", trie, model, k=10, max_cost=2, prune=False)
-        assert pruned.items == full.items == (Suggestion("ab", 0),)
+        assert pruned.items == (Suggestion("ab", 0),)
+        assert linear_scan("ab", ["ab", "cd"], model, 10, 2) == [("ab", 0)]
         # At node "c" the row over "", "a", "ab" is [1, 2, 3]; one letter
         # remains below it, so the length penalties are [1, 0, 0] and the
         # length bound is 2, which max_cost=2 does not prune: "c" would be
@@ -212,7 +215,7 @@ class TestLetterBound:
         # any substitution costs 2), and query[0:] at least 2: penalties
         # [2, 1, 0], bound 3.  Only the root, "a" and the leaf "ab" count.
         assert pruned.nodes_expanded == 3
-        assert full.nodes_expanded == trie.node_count() == 5
+        assert trie.node_count() == 5
 
     @pytest.mark.parametrize("query,target", [("xb", "a"), ("ax", "b")])
     def test_zero_cost_substitution_for_a_letter_outside_the_lexicon(
@@ -258,6 +261,19 @@ class TestGeneratedTries:
         got = suggest(query, trie, model, k=k, max_cost=max_cost)
         assert [(s.word, s.cost) for s in got.items] == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(words=WORD_SETS, query=QUERIES, model=st.sampled_from(MODELS))
+    def test_list_longer_than_the_lexicon_walks_every_node(self, words, query,
+                                                           model):
+        # With no cap and k above the word count, best never fills, so the
+        # ceiling never falls: no node is pruned and every word is listed.
+        trie = TrieDict(words)
+        k = trie.word_count + 1
+        got = suggest(query, trie, model, k=k)
+        assert got.nodes_expanded == trie.node_count()
+        assert [(s.word, s.cost) for s in got.items] == linear_scan(
+            query, set(words), model, k)
+
     @settings(max_examples=500, deadline=None)
     @given(words=WORD_SETS, query=QUERIES, model=st.sampled_from(MODELS))
     def test_penalties_are_admissible(self, words, query, model):
@@ -266,8 +282,9 @@ class TestGeneratedTries:
         trie = TrieDict(words)
         letters = trie.letters()
         qbits = [letters.get(q, 0) for q in query]
-        qweights = _letter_weights(query, letters, model.delete,
-                                   model.substitute_cost)
+        cols = {c: [model.substitute_cost(q, c) for q in query]
+                for c in letters}
+        qweights = _letter_weights(query, cols, model.delete)
         lexicon = list(trie.iterate())
         stack = [(trie.root, "")]
         while stack:
@@ -293,8 +310,38 @@ class TestLongWord:
         result = suggest("aab", trie, model, k=2)
         assert [(s.word, s.cost) for s in result.items] == [
             ("ab", 1), ("a" * 5000, 4999)]
-        full = suggest("aab", trie, model, k=2, prune=False)
-        assert full.items == result.items
+        assert [(s.word, s.cost) for s in result.items] == linear_scan(
+            "aab", ["a" * 5000, "ab"], model, k=2)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads VmHWM from /proc/self/status")
+    def test_5000_character_random_token_memory(self):
+        # A long query meets many (hi, letters held) keys, each caching an
+        # (n+1)-cell penalty vector; the cache's cell budget bounds them.
+        # VmHWM, the resident high-water mark, starts afresh in a new
+        # process (ru_maxrss would carry over the forking test runner's).
+        script = (
+            "import random\n"
+            "from wolofspell import load_sample_lexicon\n"
+            "from wolofspell.alphabet import WOLOF_CHARS\n"
+            "from wolofspell.suggest import suggest\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "trie = load_sample_lexicon()\n"
+            "rng = random.Random(113)\n"
+            "token = ''.join(rng.choice(sorted(WOLOF_CHARS)) for _ in range(5000))\n"
+            "before = peak_kb()\n"
+            "suggest(token, trie, k=10)\n"
+            "print(peak_kb() - before)\n")
+        src = str(pathlib.Path(wolofspell.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 28 * 1024  # KB
 
 
 class TestBest:
